@@ -1,14 +1,17 @@
 /**
  * @file
  * Electrical baseline network tests: per-hop latency, ejection
- * bypass, VC/credit behavior, VCTM tree building and reuse, and
- * determinism.
+ * bypass, VC/credit behavior, VCTM tree building and reuse,
+ * determinism, and golden counters pinning whole runs.
  */
 
 #include <gtest/gtest.h>
 #include <map>
 
 #include "electrical/network.hpp"
+#include "traffic/coherence.hpp"
+#include "traffic/splash.hpp"
+#include "traffic/synthetic.hpp"
 
 namespace phastlane::electrical {
 namespace {
@@ -248,6 +251,151 @@ TEST(ElectricalNet, EventAccountingConsistent)
     EXPECT_EQ(ev.bufferWrites,
               ev.linkTraversals + net.counters().packetsInjected);
     EXPECT_EQ(ev.ejections, net.counters().deliveries);
+}
+
+/** FNV-1a, folded in one 64-bit word at a time. */
+void
+fnv(uint64_t &h, uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+    }
+}
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+uint64_t
+hashLinkCounts(const std::vector<uint64_t> &counts)
+{
+    uint64_t h = kFnvBasis;
+    for (uint64_t c : counts)
+        fnv(h, c);
+    return h;
+}
+
+/**
+ * Runs a step-wise driver to completion, hashing every delivery
+ * (packet, node, cycle) in the order the network reports them, so
+ * any change to a single allocation decision shows.
+ */
+template <typename Driver>
+uint64_t
+runHashingDeliveries(Driver &driver, Network &net)
+{
+    uint64_t h = kFnvBasis;
+    while (!driver.done()) {
+        driver.preStep();
+        net.step();
+        for (const Delivery &d : net.deliveries()) {
+            fnv(h, d.packet.id);
+            fnv(h, static_cast<uint64_t>(d.node));
+            fnv(h, d.at);
+        }
+        driver.postStep();
+    }
+    return h;
+}
+
+/** Everything a golden run pins: every event counter, the run's
+ *  length, where the flits went and when each copy landed. */
+struct Golden {
+    uint64_t bufferWrites;
+    uint64_t bufferReads;
+    uint64_t xbarTraversals;
+    uint64_t linkTraversals;
+    uint64_t vaGrants;
+    uint64_t saGrants;
+    uint64_t ejections;
+    uint64_t treeLookups;
+    uint64_t routerCycles;
+    uint64_t treeMulticasts;
+    uint64_t setupUnicasts;
+    uint64_t cycles; ///< completionCycles (SPLASH) or now() (synthetic)
+    uint64_t linkHash;
+    uint64_t deliveryHash;
+};
+
+void
+expectGolden(const ElectricalNetwork &net, uint64_t cycles,
+             uint64_t delivery_hash, const Golden &g)
+{
+    const ElectricalEvents &ev = net.events();
+    EXPECT_EQ(ev.bufferWrites, g.bufferWrites);
+    EXPECT_EQ(ev.bufferReads, g.bufferReads);
+    EXPECT_EQ(ev.xbarTraversals, g.xbarTraversals);
+    EXPECT_EQ(ev.linkTraversals, g.linkTraversals);
+    EXPECT_EQ(ev.vaGrants, g.vaGrants);
+    EXPECT_EQ(ev.saGrants, g.saGrants);
+    EXPECT_EQ(ev.ejections, g.ejections);
+    EXPECT_EQ(ev.treeLookups, g.treeLookups);
+    EXPECT_EQ(ev.routerCycles, g.routerCycles);
+    EXPECT_EQ(net.electricalCounters().treeMulticasts, g.treeMulticasts);
+    EXPECT_EQ(net.electricalCounters().setupUnicasts, g.setupUnicasts);
+    EXPECT_EQ(cycles, g.cycles);
+    EXPECT_EQ(hashLinkCounts(net.linkCounts()), g.linkHash);
+    EXPECT_EQ(delivery_hash, g.deliveryHash);
+}
+
+/**
+ * Barnes (broadcast-heavy: VCTM setup streams, then tree multicast)
+ * at a reduced transaction count, closed loop.
+ */
+void
+checkBarnesGolden(int router_delay, const Golden &g)
+{
+    auto prof = traffic::splashProfile("Barnes");
+    prof.txnsPerNode = 30;
+    const auto streams = traffic::generateStreams(prof, 64, 7);
+    ElectricalParams p;
+    p.routerDelay = router_delay;
+    ElectricalNetwork net(p);
+    traffic::CoherenceDriver driver(net, streams, prof.mshrLimit);
+    driver.begin();
+    const uint64_t h = runHashingDeliveries(driver, net);
+    const auto res = driver.finish();
+    ASSERT_FALSE(res.timedOut);
+    expectGolden(net, res.completionCycles, h, g);
+}
+
+TEST(ElectricalGolden, BarnesElectrical2)
+{
+    checkBarnesGolden(2, Golden{162346, 151021, 151021, 151021, 151021,
+                                151021, 108665, 100480, 132416, 1570,
+                                8064, 2069, 3870872956859936312ull,
+                                9132848336442745519ull});
+}
+
+TEST(ElectricalGolden, BarnesElectrical3)
+{
+    checkBarnesGolden(3, Golden{162346, 151021, 151021, 151021, 151021,
+                                151021, 108665, 100480, 134976, 1570,
+                                8064, 2109, 3870872956859936312ull,
+                                4799614568239048365ull});
+}
+
+TEST(ElectricalGolden, UniformNearSaturation)
+{
+    // Open-loop uniform unicast at 0.25 packets/node/cycle, just
+    // under the baseline's saturation point, so VCs and output ports
+    // are contended throughout.
+    traffic::SyntheticConfig cfg;
+    cfg.pattern = traffic::Pattern::UniformRandom;
+    cfg.injectionRate = 0.25;
+    cfg.warmupCycles = 200;
+    cfg.measureCycles = 1500;
+    cfg.seed = 5;
+    ElectricalNetwork net(ElectricalParams{});
+    traffic::SyntheticDriver driver(net, cfg);
+    driver.begin();
+    const uint64_t h = runHashingDeliveries(driver, net);
+    const auto res = driver.finish();
+    EXPECT_FALSE(res.saturated);
+    expectGolden(net, net.now(), h,
+                 Golden{172048, 144939, 144939, 144939, 144939, 144939,
+                        27109, 0, 112384, 0, 0, 1756,
+                        8014737415641542763ull,
+                        3894918988824950494ull});
 }
 
 } // namespace
