@@ -79,43 +79,27 @@ ElectricalNetwork::deliver(const EFlit &flit, NodeId node)
 void
 ElectricalNetwork::releaseInputVc(NodeId r, Port p, int vc)
 {
-    auto &router = routers_[static_cast<size_t>(r)];
-    InputVc &ivc = router.inputVc(p, vc);
-    PL_ASSERT(ivc.busy(), "releasing an empty input VC");
-    ivc.flit.reset();
-    ivc.pendingMesh = 0;
-    ivc.ejecting = false;
-    ivc.resetBranches();
-
+    routers_[static_cast<size_t>(r)].releaseInput(p, vc);
     if (p != Port::Local) {
         // Credit to the upstream router, visible next cycle
         // (wait-for-tail: the output VC is reallocatable only now).
         const NodeId up = mesh_.neighbor(r, p);
         PL_ASSERT(up != kInvalidNode, "credit to a nonexistent router");
-        OutputVc &ovc =
-            routers_[static_cast<size_t>(up)].outputVc(opposite(p), vc);
-        PL_ASSERT(ovc.state == OutputVc::State::Occupied,
-                  "credit for a non-occupied output VC");
-        ovc.state = OutputVc::State::Free;
-        ovc.freeAt = cycle_ + 1;
+        routers_[static_cast<size_t>(up)].returnCredit(opposite(p), vc,
+                                                       cycle_ + 1);
     }
 }
 
 void
-ElectricalNetwork::processArrival(const PendingArrival &a)
+ElectricalNetwork::processArrival(PendingArrival &a)
 {
     auto &router = routers_[static_cast<size_t>(a.router)];
-    InputVc &ivc = router.inputVc(a.port, a.vc);
-    PL_ASSERT(!ivc.busy(), "arrival into an occupied VC at node %d",
-              a.router);
     ++events_.bufferWrites;
-    ivc.flit = a.flit;
-    ivc.arrivedAt = cycle_;
-    ivc.pendingMesh = 0;
-    ivc.ejecting = false;
-    ivc.resetBranches();
 
-    const EFlit &f = *ivc.flit;
+    // Route compute / tree lookup on arrival (lookahead routing).
+    const EFlit &f = a.flit;
+    uint8_t mesh_ports = 0;
+    bool local = false;
     if (f.treeMulticast) {
         ++events_.treeLookups;
         const TreeEntry *entry = router.treeTable().find(f.tree);
@@ -125,34 +109,34 @@ ElectricalNetwork::processArrival(const PendingArrival &a)
                   static_cast<unsigned long long>(
                       router.treeTable().evictions()));
         }
-        ivc.pendingMesh = entry->meshPorts;
-        PL_ASSERT(entry->local || ivc.pendingMesh != 0,
+        mesh_ports = entry->meshPorts;
+        local = entry->local;
+        PL_ASSERT(local || mesh_ports != 0,
                   "tree entry with no action at node %d", a.router);
-        if (entry->local) {
-            ejectionsNext_.push_back(PendingEjection{
-                a.router, a.port, a.vc, true,
-                ivc.pendingMesh == 0, f});
-            if (ivc.pendingMesh == 0)
-                ivc.ejecting = true;
-        }
     } else if (f.dst == a.router) {
-        ivc.ejecting = true;
+        local = true;
         if (f.installsTree)
             router.treeTable().installLocal(f.tree);
-        ejectionsNext_.push_back(
-            PendingEjection{a.router, a.port, a.vc, true, true, f});
     } else {
-        ivc.pendingMesh = static_cast<uint8_t>(
+        mesh_ports = static_cast<uint8_t>(
             1u << portIndex(mesh_.xyFirstHop(a.router, f.dst)));
     }
+    router.receive(a.port, a.vc, std::move(a.flit), cycle_, mesh_ports);
+    if (local)
+        ejectionsNext_.push_back(PendingEjection{a.router, a.port, a.vc});
 }
 
 void
 ElectricalNetwork::processEjection(const PendingEjection &e)
 {
-    if (e.deliver)
-        deliver(e.flit, e.router);
-    if (e.release)
+    // The flit is still in its VC: the ejection comes one cycle after
+    // arrival, before the VC's earliest switch grant.
+    const InputVc &ivc =
+        routers_[static_cast<size_t>(e.router)].inputVc(e.port, e.vc);
+    PL_ASSERT(ivc.busy(), "ejection from an empty VC at node %d",
+              e.router);
+    deliver(*ivc.flit, e.router);
+    if (ivc.ejecting)
         releaseInputVc(e.router, e.port, e.vc);
 }
 
@@ -166,7 +150,8 @@ ElectricalNetwork::injectFlit(NodeId n, EFlit flit)
     flit.injectedAt = cycle_;
     ++counters_.packetsInjected;
     lastProgress_ = cycle_;
-    processArrival(PendingArrival{n, Port::Local, v, std::move(flit)});
+    PendingArrival a{n, Port::Local, v, std::move(flit)};
+    processArrival(a);
 }
 
 void
@@ -174,12 +159,8 @@ ElectricalNetwork::handleSaWinners(NodeId r)
 {
     auto &router = routers_[static_cast<size_t>(r)];
     for (const SaWinner &w : router.allocateSwitch(cycle_)) {
-        InputVc &ivc = router.inputVc(w.inPort, w.inVc);
-        PL_ASSERT(ivc.busy() &&
-                      ivc.branchVc[portIndex(w.outPort)] == w.outVc,
-                  "SA winner without a matching branch");
-        EFlit copy = *ivc.flit;
-        copy.flitId = nextFlitId_++;
+        SentBranch sent = router.sendBranch(w);
+        sent.flit.flitId = nextFlitId_++;
 
         ++events_.bufferReads;
         ++events_.xbarTraversals;
@@ -189,22 +170,16 @@ ElectricalNetwork::handleSaWinners(NodeId r)
                       portIndex(w.outPort)];
         lastProgress_ = cycle_;
 
-        if (copy.installsTree)
-            router.treeTable().installPort(copy.tree, w.outPort);
+        if (sent.flit.installsTree)
+            router.treeTable().installPort(sent.flit.tree, w.outPort);
 
         const NodeId dest = mesh_.neighbor(r, w.outPort);
         PL_ASSERT(dest != kInvalidNode, "flit sent off the mesh");
         // Switch traversal this cycle, then one cycle on the channel.
         arrivalsAfter_.push_back(PendingArrival{
-            dest, opposite(w.outPort), w.outVc, std::move(copy)});
+            dest, opposite(w.outPort), w.outVc, std::move(sent.flit)});
 
-        router.outputVc(w.outPort, w.outVc).state =
-            OutputVc::State::Occupied;
-
-        ivc.pendingMesh &= static_cast<uint8_t>(
-            ~(1u << portIndex(w.outPort)));
-        ivc.branchVc[portIndex(w.outPort)] = -1;
-        if (ivc.pendingMesh == 0 && !ivc.ejecting)
+        if (sent.last)
             releaseInputVc(r, w.inPort, w.inVc);
     }
 }
@@ -220,7 +195,7 @@ ElectricalNetwork::step()
     arrivalsAfter_.clear();
     ejectionsNext_.clear();
 
-    for (const auto &a : arrivalsNow_)
+    for (auto &a : arrivalsNow_)
         processArrival(a);
     for (const auto &e : ejectionsNow_)
         processEjection(e);
@@ -317,8 +292,10 @@ ElectricalNetwork::step()
         events_.vaGrants += static_cast<uint64_t>(
             routers_[static_cast<size_t>(r)].allocateVcs(cycle_));
     }
-    for (NodeId r = 0; r < mesh_.nodeCount(); ++r)
-        handleSaWinners(r);
+    for (NodeId r = 0; r < mesh_.nodeCount(); ++r) {
+        if (!routers_[static_cast<size_t>(r)].idle())
+            handleSaWinners(r);
+    }
 
     events_.routerCycles += static_cast<uint64_t>(mesh_.nodeCount());
 

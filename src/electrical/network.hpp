@@ -86,17 +86,17 @@ class ElectricalNetwork : public Network
         EFlit flit;
     };
 
-    /** A local delivery and/or VC release due this cycle. */
+    /**
+     * A local delivery due this cycle from the flit still held in
+     * input VC (router, port, vc); an ejecting VC also frees.
+     */
     struct PendingEjection {
         NodeId router;
         Port port;
         int vc;
-        bool deliver;
-        bool release;
-        EFlit flit;
     };
 
-    void processArrival(const PendingArrival &a);
+    void processArrival(PendingArrival &a);
     void processEjection(const PendingEjection &e);
     void injectFlit(NodeId n, EFlit flit);
     void handleSaWinners(NodeId r);
