@@ -46,7 +46,7 @@ main(int argc, char **argv)
             sc.measureCycles = opts.quick ? 1500 : 4000;
             sc.seed = opts.seed;
             // The sweep points fan out across cores; results are
-            // identical to a serial sweep (see sim/parallel.hpp).
+            // identical to a serial sweep (see common/parallel.hpp).
             sc.threads = opts.threads;
             const auto pts = runSweep(cfg, sc);
             for (const auto &pt : pts) {

@@ -16,9 +16,9 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "common/parallel.hpp"
 #include "core/network.hpp"
 #include "sim/configs.hpp"
-#include "sim/parallel.hpp"
 #include "traffic/coherence.hpp"
 #include "traffic/splash.hpp"
 
@@ -56,7 +56,7 @@ main(int argc, char **argv)
             uint64_t drops = 0;
         };
         std::vector<ConfigResult> results(configs.size());
-        sim::parallelFor(
+        parallelFor(
             configs.size(),
             [&](size_t i) {
                 auto net = configs[i].make(1);

@@ -10,8 +10,8 @@
  */
 
 #include "bench_util.hpp"
+#include "common/parallel.hpp"
 #include "sim/configs.hpp"
-#include "sim/parallel.hpp"
 #include "traffic/coherence.hpp"
 #include "traffic/splash.hpp"
 
@@ -41,7 +41,7 @@ main(int argc, char **argv)
         // whole row of power models runs in parallel; the baseline's
         // result is picked out afterwards.
         std::vector<power::PowerBreakdown> results(configs.size());
-        sim::parallelFor(
+        parallelFor(
             configs.size(),
             [&](size_t i) {
                 auto net = configs[i].make(1);

@@ -623,6 +623,15 @@ defaultCampaign(int seeds_per_cell, Cycle cycles)
            [](StreamConfig &s) {
                s.patternOpts.hotspotFraction = 0.5;
            });
+
+    // Large meshes: more than 64 routers, so the claim and request
+    // planes span several words. 16x16 has 4 whole words, routes of
+    // up to 30 hops and truncated control programs; 13x9 ends in a
+    // partial tail word. Broadcasts stay within the 50-entry NIC.
+    add("uniform-16x16-h8-d2", 16, 16, 8, 2, Pattern::UniformRandom,
+        0.08, 0.05, noop);
+    add("uniform-13x9-h5-d1", 13, 9, 5, 1, Pattern::UniformRandom,
+        0.12, 0.10, noop);
     return cells;
 }
 

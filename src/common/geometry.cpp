@@ -1,6 +1,5 @@
 #include "common/geometry.hpp"
 
-#include <algorithm>
 
 #include "common/log.hpp"
 
@@ -45,38 +44,6 @@ MeshTopology::xyPath(NodeId src, NodeId dst) const
         path.push_back(at);
     }
     return path;
-}
-
-ShardGrid::ShardGrid(const MeshTopology &mesh, int cols, int rows)
-    : cols_(std::min(std::max(cols, 1), mesh.width())),
-      rows_(std::min(std::max(rows, 1), mesh.height()))
-{
-    const int w = mesh.width();
-    const int h = mesh.height();
-    rects_.reserve(static_cast<size_t>(count()));
-    for (int sy = 0; sy < rows_; ++sy) {
-        const int y0 = sy * h / rows_;
-        const int y1 = (sy + 1) * h / rows_;
-        for (int sx = 0; sx < cols_; ++sx) {
-            const int x0 = sx * w / cols_;
-            const int x1 = (sx + 1) * w / cols_;
-            rects_.push_back(Rect{x0, y0, x1 - x0, y1 - y0});
-        }
-    }
-    shardOfNode_.resize(static_cast<size_t>(mesh.nodeCount()));
-    localIdOfNode_.resize(static_cast<size_t>(mesh.nodeCount()));
-    for (int s = 0; s < count(); ++s) {
-        const Rect &r = rects_[static_cast<size_t>(s)];
-        PL_ASSERT(r.width > 0 && r.height > 0, "empty shard rect");
-        for (int y = r.y0; y < r.y0 + r.height; ++y) {
-            for (int x = r.x0; x < r.x0 + r.width; ++x) {
-                const size_t n =
-                    static_cast<size_t>(mesh.nodeAt({x, y}));
-                shardOfNode_[n] = s;
-                localIdOfNode_[n] = (y - r.y0) * r.width + (x - r.x0);
-            }
-        }
-    }
 }
 
 } // namespace phastlane

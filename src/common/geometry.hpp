@@ -138,74 +138,6 @@ class MeshTopology
     int height_;
 };
 
-/**
- * A rectangular partition of a mesh into cols x rows shards for the
- * topology-parallel step() (DESIGN.md §12).
- *
- * Shard (sx, sy) covers columns [sx*W/cols, (sx+1)*W/cols) and rows
- * [sy*H/rows, (sy+1)*H/rows): blocks differ in size by at most one
- * row/column, every router belongs to exactly one shard, and the
- * partition is a pure function of (W, H, cols, rows) — identical on
- * every platform and thread count.
- *
- * Shard ids are row-major over the shard grid (sy * cols + sx).
- * Within a shard, local ids are row-major over its rectangle; because
- * both numberings are y-major/x-minor, ascending local id order equals
- * ascending global id order restricted to the shard — the property the
- * sharded engine's deterministic effect merge relies on.
- */
-class ShardGrid
-{
-  public:
-    /** One shard's rectangle (inclusive origin, exclusive extent). */
-    struct Rect {
-        int x0 = 0;
-        int y0 = 0;
-        int width = 0;
-        int height = 0;
-
-        int nodeCount() const { return width * height; }
-        bool contains(Coord c) const
-        {
-            return c.x >= x0 && c.x < x0 + width && c.y >= y0 &&
-                   c.y < y0 + height;
-        }
-    };
-
-    /** cols/rows are clamped to [1, mesh width/height]. */
-    ShardGrid(const MeshTopology &mesh, int cols, int rows);
-
-    int cols() const { return cols_; }
-    int rows() const { return rows_; }
-    int count() const { return cols_ * rows_; }
-
-    const Rect &rect(int shard) const
-    {
-        PL_ASSERT(shard >= 0 && shard < count(),
-                  "shard %d out of range", shard);
-        return rects_[static_cast<size_t>(shard)];
-    }
-
-    /** Shard owning node @p n. */
-    int shardOf(NodeId n) const
-    {
-        return shardOfNode_[static_cast<size_t>(n)];
-    }
-
-    /** Local (within-rect, row-major) id of node @p n in its shard. */
-    int localId(NodeId n) const
-    {
-        return localIdOfNode_[static_cast<size_t>(n)];
-    }
-
-  private:
-    int cols_;
-    int rows_;
-    std::vector<Rect> rects_;
-    std::vector<int32_t> shardOfNode_;
-    std::vector<int32_t> localIdOfNode_;
-};
-
 } // namespace phastlane
 
 #endif // PHASTLANE_COMMON_GEOMETRY_HPP

@@ -9,8 +9,7 @@ NetworkBatch::~NetworkBatch() { detachAll(); }
 bool
 NetworkBatch::eligible(const PhastlaneNetwork &net)
 {
-    return !net.useShardedStep() && net.shards_.empty() &&
-           net.observer_ == nullptr &&
+    return net.observer_ == nullptr &&
            net.params_.wavefront != WavefrontModel::GlobalPriority;
 }
 
@@ -130,9 +129,8 @@ NetworkBatch::batchLaunchPhase(PhastlaneNetwork &net, size_t slot)
 void
 NetworkBatch::stepOne(PhastlaneNetwork &net, size_t slot)
 {
-    // Mirrors PhastlaneNetwork::step() for the scalar FCFS engines;
-    // eligibility guarantees no shards, no observer, no
-    // GlobalPriority.
+    // Mirrors PhastlaneNetwork::step() for the FCFS engines;
+    // eligibility guarantees no observer and no GlobalPriority.
     net.deliveries_.clear();
     net.scratch_->claims.clear();
     net.returnPaths_.beginCycle();

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/log.hpp"
-#include "core/network_impl.hpp"
 
 namespace phastlane::core {
 
@@ -66,7 +65,6 @@ PhastlaneNetwork::PhastlaneNetwork(const PhastlaneParams &params)
         unicastProgCache_.resize(pairs);
         unicastProgValid_.assign(pairs, 0);
     }
-    setupShards();
 }
 
 bool
@@ -86,8 +84,18 @@ PhastlaneNetwork::inject(const Packet &pkt)
 {
     PL_ASSERT(mesh_.valid(pkt.src), "invalid source %d", pkt.src);
     auto &nic = nics_[static_cast<size_t>(pkt.src)];
-    if (!nic.hasSpaceFor(pkt))
+    if (!nic.hasSpaceFor(pkt)) {
+        // Even an empty NIC refuses a broadcast with more branches
+        // than entries (interior rows of a mesh wider than
+        // nicQueueEntries / 2 columns). Refusing it forever would
+        // silently stall the source behind it, so fail loudly.
+        if (pkt.broadcast && nic.broadcastBranches() > nic.capacity())
+            fatal("node %d: a broadcast splits into %zu branches, more "
+                  "than the NIC holds (nicQueueEntries = %zu), so it "
+                  "can never be injected",
+                  pkt.src, nic.broadcastBranches(), nic.capacity());
         return false;
+    }
     if (routerFailed(pkt.src)) {
         // Dead source: the message is accepted (the node's software
         // has no way to know its router died) but nothing is ever
@@ -346,8 +354,33 @@ PhastlaneNetwork::launchRouter(NodeId r)
 void
 PhastlaneNetwork::serveTapAt(Flight &f)
 {
-    DirectSink sink{*this};
-    serveTapAtT(f, sink);
+    // Broadcast tap: a fraction of the optical power is received and
+    // a copy delivered to this node — unless the tap was already
+    // served by a pre-corruption attempt (duplicate suppression) or
+    // the receive resonator missed the capture (injected fault).
+    PL_ASSERT(!f.pkt.tapsDone() && f.pkt.nextTap() == f.at,
+              "tap bookkeeping out of sync at node %d", f.at);
+    if (f.pkt.tapCursor < f.pkt.dedupBelow) {
+        f.pkt.serveTap();
+        ++events_.duplicatesSuppressed;
+        if (observer_)
+            observer_->onDuplicate(f.pkt, f.at);
+        return;
+    }
+    if (faultRoll(params_.faults, params_.faults.missedReceiveRate,
+                  FaultKind::MissedReceive, f.pkt.branchId,
+                  static_cast<uint64_t>(cycle_),
+                  static_cast<uint64_t>(f.at))) {
+        f.pkt.serveTap();
+        ++events_.faultMissedReceives;
+        loseUnits(f.pkt, f.at, 1, LostCause::MissedReceive);
+        return;
+    }
+    deliver(f.pkt, f.at);
+    f.pkt.serveTap();
+    ++events_.tapReceives;
+    if (observer_)
+        observer_->onTap(f.pkt, f.at);
 }
 
 int
@@ -380,22 +413,118 @@ PhastlaneNetwork::loseUnits(const OpticalPacket &pkt, NodeId router,
 void
 PhastlaneNetwork::deadRouterArrival(Flight &f)
 {
-    DirectSink sink{*this};
-    deadRouterArrivalT(f, sink);
+    // Hard-failed router: the packet is absorbed and never forwarded,
+    // no drop signal returns, and the holder's "no signal means
+    // success" rule frees the buffer slot next cycle. Every remaining
+    // delivery unit of the branch is lost.
+    ++events_.faultDeadArrivals;
+    loseUnits(f.pkt, f.at, unitsOutstanding(f.pkt),
+              LostCause::DeadRouter);
+    pendingReleases_.push_back(f.holder);
+    f.active = false;
 }
 
 bool
 PhastlaneNetwork::handleArrival(Flight &f)
 {
-    DirectSink sink{*this};
-    return handleArrivalT(f, sink);
+    const ControlGroup g = f.prog.front();
+    PL_ASSERT(f.hops <= params_.maxHopsPerCycle,
+              "flight exceeded the per-cycle hop limit");
+
+    if (failedRouters_[static_cast<size_t>(f.at)] != 0) {
+        deadRouterArrival(f);
+        return true;
+    }
+
+    if (g.multicast)
+        serveTapAt(f);
+
+    if (g.local) {
+        f.prog.translate();
+        if (f.prog.empty()) {
+            // Final router of this packet/branch.
+            if (!g.multicast) {
+                // Unicast destination: deliver through the local
+                // receive resonators (multicast finals were already
+                // delivered by the tap above).
+                PL_ASSERT(f.at == f.pkt.finalDst,
+                          "unicast final at wrong node");
+                if (faultRoll(params_.faults,
+                              params_.faults.missedReceiveRate,
+                              FaultKind::MissedReceive,
+                              f.pkt.branchId,
+                              static_cast<uint64_t>(cycle_),
+                              static_cast<uint64_t>(f.at))) {
+                    ++events_.faultMissedReceives;
+                    loseUnits(f.pkt, f.at, 1, LostCause::MissedReceive);
+                } else {
+                    deliver(f.pkt, f.at);
+                }
+            }
+            ++events_.receives;
+            pendingReleases_.push_back(f.holder);
+            f.active = false;
+            if (observer_)
+                observer_->onBranchFinal(f.pkt, f.at);
+        } else {
+            // Interim node: buffer and assume responsibility.
+            receiveOrDrop(f, true);
+        }
+        return true;
+    }
+    return false;
 }
 
 void
 PhastlaneNetwork::receiveOrDrop(Flight &f, bool interim)
 {
-    DirectSink sink{*this};
-    receiveOrDropT(f, interim, sink);
+    auto &rb = routers_[static_cast<size_t>(f.at)];
+    if (rb.hasSpace(f.inPort)) {
+        ++events_.receives;
+        ++events_.bufferWrites;
+        if (interim)
+            ++pl_.interimAccepts;
+        else
+            ++pl_.blockedBuffered;
+        // Re-launchable from the next cycle's arbitration.
+        rb.push(f.inPort, f.pkt, cycle_ + 1);
+        pendingReleases_.push_back(f.holder);
+        if (observer_)
+            observer_->onBufferReceive(f.pkt, f.at, f.inPort, interim);
+    } else if (faultRoll(params_.faults,
+                         params_.faults.dropSignalLossRate,
+                         FaultKind::DropSignalLoss, f.pkt.branchId,
+                         static_cast<uint64_t>(cycle_),
+                         static_cast<uint64_t>(f.at))) {
+        // Dropped, but the Packet-Dropped return signal is lost in
+        // flight: no reverse links latch, the holder sees silence and
+        // frees the slot under the "no signal means success" rule, and
+        // the packet's undelivered units are permanently lost (the
+        // base protocol has no end-to-end ack; see ReliableNic for
+        // the recovery layer).
+        ++events_.drops;
+        ++pl_.drops;
+        ++events_.dropSignalsLost;
+        pendingReleases_.push_back(f.holder);
+        if (observer_)
+            observer_->onDrop(f.pkt, f.at, f.holder.router, 0, true);
+        loseUnits(f.pkt, f.at, unitsOutstanding(f.pkt),
+                  LostCause::SignalLost);
+    } else {
+        // Dropped: the return path carries the Packet Dropped signal
+        // and this router's Node ID back to the holder next cycle,
+        // over the reverse connections latched behind the packet.
+        ++events_.drops;
+        ++pl_.drops;
+        const int signal_hops =
+            returnPaths_.signalDrop(f.path.data(), f.pathLen);
+        events_.dropSignalHops += static_cast<uint64_t>(signal_hops);
+        pendingDrops_.push_back(LaunchOutcome{f.holder, f.pkt});
+        if (observer_)
+            observer_->onDrop(f.pkt, f.at, f.holder.router,
+                              signal_hops, false);
+    }
+    f.active = false;
 }
 
 void
@@ -861,10 +990,6 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
 void
 PhastlaneNetwork::step()
 {
-    if (useShardedStep()) {
-        stepSharded();
-        return;
-    }
     if (observer_)
         observer_->onCycleBegin(cycle_);
     deliveries_.clear();

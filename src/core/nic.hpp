@@ -48,6 +48,10 @@ class OpticalNic
 
     bool empty() const { return queue_.empty(); }
     size_t occupancy() const { return queue_.size(); }
+    size_t capacity() const { return capacity_; }
+
+    /** Entries a broadcast from this node takes: its branch count. */
+    size_t broadcastBranches() const { return broadcastBranches_; }
 
     /** Next branch packet to hand to the router's local queue. */
     const OpticalPacket &head() const;

@@ -26,8 +26,8 @@ ReturnPathRegistry::beginCycle()
     // Stale epochs make every latch/claim entry read as empty; no
     // table fill needed.
     ++epoch_;
-    claimed_.store(0, std::memory_order_relaxed);
-    latched_.store(0, std::memory_order_relaxed);
+    claimed_ = 0;
+    latched_ = 0;
 }
 
 void
@@ -42,7 +42,7 @@ ReturnPathRegistry::registerHop(NodeId router, Port in, Port out)
               "router %d port %s", router, portName(out));
     slot = (epoch_ << 3) |
            static_cast<uint64_t>(portIndex(in) + 1);
-    latched_.fetch_add(1, std::memory_order_relaxed);
+    ++latched_;
 }
 
 int
@@ -66,7 +66,7 @@ ReturnPathRegistry::signalDrop(const ReturnHop *hops_arr, size_t count)
                   "port %s", h.router, portName(h.packetOut));
         }
         used_[idx] = epoch_;
-        claimed_.fetch_add(1, std::memory_order_relaxed);
+        ++claimed_;
         ++hops;
     }
     // Plus the final link back into the source's receiver.

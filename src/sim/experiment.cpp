@@ -4,10 +4,10 @@
 #include <optional>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "core/network.hpp"
 #include "obs/observe.hpp"
 #include "sim/multisim.hpp"
-#include "sim/parallel.hpp"
 
 namespace phastlane::sim {
 

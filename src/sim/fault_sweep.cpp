@@ -9,10 +9,10 @@
 #include <optional>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/network.hpp"
 #include "sim/multisim.hpp"
-#include "sim/parallel.hpp"
 
 namespace phastlane::sim {
 

@@ -7,7 +7,7 @@
  * reliability layer (core::ReliableNic).
  *
  * Points are independent simulations parallelised with
- * sim::parallelFor; every point derives its fault and traffic seeds
+ * parallelFor; every point derives its fault and traffic seeds
  * from the campaign seed and the point index, so the sweep is
  * bit-identical at any thread count.
  */

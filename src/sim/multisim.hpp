@@ -29,7 +29,7 @@
 namespace phastlane::sim {
 
 /** True when @p net can run under a NetworkBatch: a PhastlaneNetwork
- *  with no shards, no observer, and an FCFS wavefront. */
+ *  with no observer and an FCFS wavefront. */
 bool batchable(const Network &net);
 
 /**

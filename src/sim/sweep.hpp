@@ -47,7 +47,7 @@ struct SweepConfig {
 
     /** Simulation threads for the sweep points: 0 = auto (PL_THREADS
      *  env, else hardware concurrency), 1 = serial. Results are
-     *  bit-identical across thread counts (see sim/parallel.hpp). */
+     *  bit-identical across thread counts (see common/parallel.hpp). */
     int threads = 0;
 
     /** Collect per-point obs metrics (each shard records into its own
@@ -57,8 +57,8 @@ struct SweepConfig {
     /** Batched lockstep backend (DESIGN.md §13): gang size for
      *  stepping many points' networks through one NetworkBatch when
      *  the sweep runs serially (resolved threads == 1) and the
-     *  configuration is batch-eligible (no shards, no observers, FCFS
-     *  wavefront). 0 = auto (MultiSim::kDefaultBatch), 1 = disable,
+     *  configuration is batch-eligible (no observers, FCFS wavefront).
+     *  0 = auto (MultiSim::kDefaultBatch), 1 = disable,
      *  > 1 = explicit gang size. Results are bit-identical to the
      *  serial path. */
     int batch = 0;

@@ -5,7 +5,6 @@
  */
 
 #include <gtest/gtest.h>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -170,94 +169,6 @@ TEST(Geometry, HopDistanceIsAMetric)
             }
         }
     }
-}
-
-class ShardGridShapes
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int>>
-{
-};
-
-TEST_P(ShardGridShapes, RectsPartitionTheMesh)
-{
-    const auto [w, h, cols, rows] = GetParam();
-    MeshTopology mesh(w, h);
-    ShardGrid grid(mesh, cols, rows);
-    // Clamped to the mesh dimensions, never empty.
-    EXPECT_GE(grid.cols(), 1);
-    EXPECT_GE(grid.rows(), 1);
-    EXPECT_LE(grid.cols(), w);
-    EXPECT_LE(grid.rows(), h);
-    // Every node belongs to exactly one shard, and shardOf agrees
-    // with rect containment.
-    std::vector<int> seen(static_cast<size_t>(mesh.nodeCount()), 0);
-    int covered = 0;
-    for (int s = 0; s < grid.count(); ++s) {
-        const ShardGrid::Rect &r = grid.rect(s);
-        EXPECT_GT(r.width, 0);
-        EXPECT_GT(r.height, 0);
-        covered += r.nodeCount();
-        for (int y = r.y0; y < r.y0 + r.height; ++y) {
-            for (int x = r.x0; x < r.x0 + r.width; ++x) {
-                const NodeId n = mesh.nodeAt({x, y});
-                ++seen[static_cast<size_t>(n)];
-                EXPECT_TRUE(r.contains({x, y}));
-                EXPECT_EQ(grid.shardOf(n), s);
-            }
-        }
-    }
-    EXPECT_EQ(covered, mesh.nodeCount());
-    for (int c : seen)
-        EXPECT_EQ(c, 1);
-}
-
-TEST_P(ShardGridShapes, LocalIdsAreDenseAndGloballyMonotone)
-{
-    const auto [w, h, cols, rows] = GetParam();
-    MeshTopology mesh(w, h);
-    ShardGrid grid(mesh, cols, rows);
-    for (int s = 0; s < grid.count(); ++s) {
-        const ShardGrid::Rect &r = grid.rect(s);
-        std::vector<int> used(static_cast<size_t>(r.nodeCount()), 0);
-        // Walk the shard's nodes in ascending GLOBAL id: local ids
-        // must come out dense AND ascending — the monotonicity the
-        // sharded engine's merge order relies on (DESIGN.md §12).
-        int prev_local = -1;
-        for (NodeId n = 0; n < mesh.nodeCount(); ++n) {
-            if (grid.shardOf(n) != s)
-                continue;
-            const int local = grid.localId(n);
-            ASSERT_GE(local, 0);
-            ASSERT_LT(local, r.nodeCount());
-            ++used[static_cast<size_t>(local)];
-            EXPECT_GT(local, prev_local)
-                << "local id order broke at node " << n;
-            prev_local = local;
-        }
-        for (int c : used)
-            EXPECT_EQ(c, 1);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grids, ShardGridShapes,
-    ::testing::Values(std::tuple{8, 8, 2, 2}, std::tuple{8, 8, 4, 4},
-                      std::tuple{9, 7, 2, 2}, std::tuple{9, 7, 3, 2},
-                      std::tuple{16, 16, 4, 4},
-                      std::tuple{32, 32, 4, 4},
-                      std::tuple{5, 3, 8, 8}, // clamps to 5x3
-                      std::tuple{1, 8, 4, 4}, // clamps to 1x4
-                      std::tuple{8, 8, 1, 1},
-                      std::tuple{13, 5, 13, 5}));
-
-TEST(ShardGrid, UnevenSplitSpreadsRemainder)
-{
-    // 9 columns over 2 shards: 4 + 5 (floor split), no empty rects.
-    MeshTopology mesh(9, 7);
-    ShardGrid grid(mesh, 2, 1);
-    EXPECT_EQ(grid.rect(0).width, 4);
-    EXPECT_EQ(grid.rect(1).width, 5);
-    EXPECT_EQ(grid.rect(0).height, 7);
-    EXPECT_EQ(grid.rect(1).height, 7);
 }
 
 TEST(Geometry, MaxDistanceIn8x8Is14)

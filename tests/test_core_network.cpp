@@ -212,6 +212,36 @@ TEST(PhastlaneNet, NicBackpressure)
     EXPECT_TRUE(net.nicHasSpace(27));
 }
 
+/** Table 1's 50-entry NIC holds a whole broadcast only on meshes up
+ *  to 25 columns wide. On 26x26 an interior-row broadcast splits into
+ *  52 branches: even an empty NIC refuses it, so inject() must fail
+ *  loudly instead of stalling the source behind it forever. */
+TEST(PhastlaneNetDeathTest, BroadcastThatCanNeverFitFailsLoudly)
+{
+    PhastlaneParams p;
+    p.meshWidth = 26;
+    p.meshHeight = 26;
+    PhastlaneNetwork net(p);
+    const NodeId interior = 5 * 26 + 3;
+    EXPECT_EXIT(net.inject(broadcast(1, interior)),
+                ::testing::ExitedWithCode(1),
+                "node 133: a broadcast splits into 52 branches.*"
+                "nicQueueEntries = 50");
+}
+
+TEST(PhastlaneNet, WideMeshAcceptsUnicastsAndEdgeRowBroadcasts)
+{
+    PhastlaneParams p;
+    p.meshWidth = 26;
+    p.meshHeight = 26;
+    PhastlaneNetwork net(p);
+    const NodeId interior = 5 * 26 + 3;
+    ASSERT_TRUE(net.inject(unicast(1, interior, 0)));
+    ASSERT_TRUE(net.inject(broadcast(2, 7))); // edge row: 26 branches
+    const auto dels = runToIdle(net, 100000);
+    EXPECT_EQ(dels.size(), 1u + 26u * 26u - 1u);
+}
+
 TEST(PhastlaneNet, DeterministicAcrossRuns)
 {
     auto run = [](uint64_t seed) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the parallel simulation harness (sim/parallel.hpp): the
+ * Tests of the parallel simulation harness (common/parallel.hpp): the
  * work-stealing pool itself, and the determinism contract -- sweeps
  * and experiments produce bit-identical results at any thread count.
  */
@@ -11,8 +11,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "sim/experiment.hpp"
-#include "sim/parallel.hpp"
 #include "sim/sweep.hpp"
 #include "traffic/splash.hpp"
 
