@@ -236,8 +236,9 @@ TEST(PhastlaneNet, WideMeshAcceptsUnicastsAndEdgeRowBroadcasts)
     p.meshHeight = 26;
     PhastlaneNetwork net(p);
     const NodeId interior = 5 * 26 + 3;
+    const NodeId top_row = 25 * 26 + 7;
     ASSERT_TRUE(net.inject(unicast(1, interior, 0)));
-    ASSERT_TRUE(net.inject(broadcast(2, 7))); // edge row: 26 branches
+    ASSERT_TRUE(net.inject(broadcast(2, top_row))); // 26 branches
     const auto dels = runToIdle(net, 100000);
     EXPECT_EQ(dels.size(), 1u + 26u * 26u - 1u);
 }
