@@ -6,11 +6,17 @@
  */
 
 #include <gtest/gtest.h>
+#include <iterator>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/network.hpp"
 #include "core/observer.hpp"
+#include "traffic/coherence.hpp"
+#include "traffic/splash.hpp"
+#include "traffic/synthetic.hpp"
 
 namespace phastlane::core {
 namespace {
@@ -395,6 +401,282 @@ TEST(PhastlaneNet, LatencyStampsAreOrdered)
     EXPECT_LE(dels[0].acceptedAt, dels[0].injectedAt);
     EXPECT_LE(dels[0].injectedAt, dels[0].at);
     EXPECT_EQ(dels[0].acceptedAt, p.createdAt);
+}
+
+// ---------------------------------------------------------------------
+// Golden pins under contention: whole-run results of loads that keep
+// router buffers full, so every arbitration, launch, drop and
+// retransmission decision is visible in the pinned values.
+
+/** FNV-1a, folded in one 64-bit word at a time. */
+void
+fnv(uint64_t &h, uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+    }
+}
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+/** Everything an optical golden run pins: every OpticalEvents and
+ *  PhastlaneCounters field, the run's length, the starvation
+ *  high-water marks, where the claims went and when each copy landed. */
+struct OpticalGolden {
+    uint64_t launches, passTraversals, receives, tapReceives;
+    uint64_t bufferWrites, bufferReads, drops, dropSignalHops;
+    uint64_t retransmissions, routerCycles, lostUnits, dropSignalsLost;
+    uint64_t faultMisTurns, faultMissedReceives, faultCorruptions;
+    uint64_t faultDeadArrivals, duplicatesSuppressed;
+    uint64_t plDrops, plRetransmissions, plBlockedBuffered;
+    uint64_t plInterimAccepts, plLaunches;
+    uint64_t cycles; ///< completionCycles (SPLASH) or now() (synthetic)
+    uint64_t maxStarvation;
+    uint64_t starvationHash; ///< sourceStarvation(n) over all nodes
+    uint64_t claimHash;      ///< portClaimCounts()
+    uint64_t deliveryHash;   ///< (packet, node, cycle) in order
+
+    bool operator==(const OpticalGolden &) const = default;
+};
+
+/** Prints a mismatching golden as a ready-to-paste initializer. */
+void
+PrintTo(const OpticalGolden &g, std::ostream *os)
+{
+    const uint64_t v[] = {
+        g.launches, g.passTraversals, g.receives, g.tapReceives,
+        g.bufferWrites, g.bufferReads, g.drops, g.dropSignalHops,
+        g.retransmissions, g.routerCycles, g.lostUnits,
+        g.dropSignalsLost, g.faultMisTurns, g.faultMissedReceives,
+        g.faultCorruptions, g.faultDeadArrivals, g.duplicatesSuppressed,
+        g.plDrops, g.plRetransmissions, g.plBlockedBuffered,
+        g.plInterimAccepts, g.plLaunches, g.cycles, g.maxStarvation,
+        g.starvationHash, g.claimHash, g.deliveryHash};
+    *os << "{";
+    for (size_t i = 0; i < std::size(v); ++i)
+        *os << (i ? ", " : "") << v[i]
+            << (v[i] > 0xffffffffu ? "ull" : "");
+    *os << "}";
+}
+
+OpticalGolden
+observeGolden(const PhastlaneNetwork &net, uint64_t cycles,
+              uint64_t delivery_hash)
+{
+    const OpticalEvents &ev = net.events();
+    const PhastlaneCounters &pl = net.phastlaneCounters();
+    uint64_t starvation = kFnvBasis;
+    for (NodeId n = 0; n < net.nodeCount(); ++n)
+        fnv(starvation, net.sourceStarvation(n));
+    uint64_t claims = kFnvBasis;
+    for (uint64_t c : net.portClaimCounts())
+        fnv(claims, c);
+    return OpticalGolden{
+        ev.launches, ev.passTraversals, ev.receives, ev.tapReceives,
+        ev.bufferWrites, ev.bufferReads, ev.drops, ev.dropSignalHops,
+        ev.retransmissions, ev.routerCycles, ev.lostUnits,
+        ev.dropSignalsLost, ev.faultMisTurns, ev.faultMissedReceives,
+        ev.faultCorruptions, ev.faultDeadArrivals,
+        ev.duplicatesSuppressed, pl.drops, pl.retransmissions,
+        pl.blockedBuffered, pl.interimAccepts, pl.launches, cycles,
+        net.maxStarvation(), starvation, claims, delivery_hash};
+}
+
+/** Runs a step-wise driver to completion, hashing every delivery in
+ *  the order the network reports it. */
+template <typename Driver>
+uint64_t
+runHashingDeliveries(Driver &driver, Network &net)
+{
+    uint64_t h = kFnvBasis;
+    while (!driver.done()) {
+        driver.preStep();
+        net.step();
+        for (const Delivery &d : net.deliveries()) {
+            fnv(h, d.packet.id);
+            fnv(h, static_cast<uint64_t>(d.node));
+            fnv(h, d.at);
+        }
+        driver.postStep();
+    }
+    return h;
+}
+
+/** A SPLASH benchmark at reduced transactions, closed loop, on an
+ *  Optical4-family config (4 hops; @p buffers entries, 0 = infinite). */
+OpticalGolden
+runSplashGolden(const std::string &bench, int buffers)
+{
+    auto prof = traffic::splashProfile(bench);
+    prof.txnsPerNode = 12;
+    const auto streams = traffic::generateStreams(prof, 64, 7);
+    PhastlaneParams p;
+    p.maxHopsPerCycle = 4;
+    p.routerBufferEntries = buffers;
+    PhastlaneNetwork net(p);
+    traffic::CoherenceDriver driver(net, streams, prof.mshrLimit);
+    driver.begin();
+    const uint64_t h = runHashingDeliveries(driver, net);
+    const auto res = driver.finish();
+    EXPECT_FALSE(res.timedOut);
+    return observeGolden(net, res.completionCycles, h);
+}
+
+/** Open-loop uniform unicast plus broadcasts near Optical4's
+ *  saturation point, under the policy @p tweak selects. */
+template <typename Tweak>
+OpticalGolden
+runContendedGolden(const Tweak &tweak)
+{
+    PhastlaneParams p;
+    tweak(p);
+    traffic::SyntheticConfig cfg;
+    cfg.pattern = traffic::Pattern::UniformRandom;
+    cfg.injectionRate = 0.14;
+    cfg.broadcastFraction = 0.10;
+    cfg.warmupCycles = 200;
+    cfg.measureCycles = 1200;
+    cfg.maxDrainCycles = 4000;
+    cfg.seed = 11;
+    PhastlaneNetwork net(p);
+    traffic::SyntheticDriver driver(net, cfg);
+    driver.begin();
+    const uint64_t h = runHashingDeliveries(driver, net);
+    driver.finish();
+    return observeGolden(net, net.now(), h);
+}
+
+TEST(OpticalGolden, BarnesOptical4)
+{
+    EXPECT_EQ(runSplashGolden("Barnes", 10),
+              (OpticalGolden{80135, 13192, 54438, 42336, 44378, 80135,
+                             25697, 27562, 25697, 43968, 0, 0, 0, 0, 0,
+                             0, 0, 25697, 25697, 42796, 1582, 80135,
+                             687, 314, 18373213560318213042ull,
+                             18050065149612647268ull,
+                             10636056843254188467ull}));
+}
+
+TEST(OpticalGolden, BarnesOptical4IB)
+{
+    EXPECT_EQ(runSplashGolden("Barnes", 0),
+              (OpticalGolden{50542, 15223, 50542, 42336, 40482, 50542,
+                             0, 0, 0, 43392, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                             37983, 2499, 50542, 678, 157,
+                             7971282096371129805ull,
+                             1539310412283354588ull,
+                             12354592899165209398ull}));
+}
+
+TEST(OpticalGolden, BarnesOptical4B64)
+{
+    EXPECT_EQ(runSplashGolden("Barnes", 64),
+              (OpticalGolden{51220, 15107, 50658, 42336, 40598, 51220,
+                             562, 562, 562, 43456, 0, 0, 0, 0, 0, 0, 0,
+                             562, 562, 38086, 2512, 51220, 679, 157,
+                             7971282096371129805ull,
+                             16979901188380641962ull,
+                             11240139571291774599ull}));
+}
+
+TEST(OpticalGolden, OceanOptical4)
+{
+    EXPECT_EQ(runSplashGolden("Ocean", 10),
+              (OpticalGolden{83876, 8393, 50347, 36855, 41556, 83876,
+                             33529, 34858, 33529, 39936, 0, 0, 0, 0, 0,
+                             0, 0, 33529, 33529, 40630, 926, 83876, 624,
+                             388, 9642783081603626228ull,
+                             17972174939603934276ull,
+                             11699739923890345105ull}));
+}
+
+TEST(OpticalGolden, OceanOptical4IB)
+{
+    EXPECT_EQ(runSplashGolden("Ocean", 0),
+              (OpticalGolden{50177, 7234, 50177, 36855, 41386, 50177, 0,
+                             0, 0, 38144, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                             40492, 894, 50177, 596, 291,
+                             5238549503373140561ull,
+                             8502255232712264665ull,
+                             13170143231605039736ull}));
+}
+
+TEST(OpticalGolden, OceanOptical4B64)
+{
+    EXPECT_EQ(runSplashGolden("Ocean", 64),
+              (OpticalGolden{51259, 7197, 50216, 36855, 41425, 51259,
+                             1043, 1045, 1043, 38080, 0, 0, 0, 0, 0, 0,
+                             0, 1043, 1043, 40545, 880, 51259, 595, 256,
+                             4062330105687463759ull,
+                             14671843724203736130ull,
+                             7610114736829598165ull}));
+}
+
+TEST(OpticalGolden, UniformBroadcastOldestFirst)
+{
+    const OpticalGolden got =
+        runContendedGolden([](PhastlaneParams &p) {
+            p.bufferArbitration = BufferArbitration::OldestFirst;
+        });
+    EXPECT_EQ(got,
+              (OpticalGolden{98872, 77062, 98250, 79191, 69677, 98872,
+                             622, 633, 622, 91840, 0, 0, 0, 0, 0, 0, 0,
+                             622, 622, 59399, 10278, 98872, 1435, 29,
+                             5819367821787943668ull,
+                             8042241220665295854ull,
+                             17006592731837283376ull}));
+}
+
+TEST(OpticalGolden, UniformBroadcastTokenBucket)
+{
+    const OpticalGolden got =
+        runContendedGolden([](PhastlaneParams &p) {
+            p.admission = AdmissionPolicy::TokenBucket;
+            p.admissionBurst = 2;
+            p.admissionPeriod = 3;
+        });
+    EXPECT_EQ(got,
+              (OpticalGolden{90110, 85191, 90110, 79191, 61537, 90110,
+                             0, 0, 0, 139072, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                             49808, 11729, 90110, 2173, 46,
+                             9564124233627124774ull,
+                             6073210088110225853ull,
+                             12318460092869810001ull}));
+}
+
+TEST(OpticalGolden, UniformBroadcastExponentialBackoff)
+{
+    const OpticalGolden got =
+        runContendedGolden([](PhastlaneParams &p) {
+            p.routerBufferEntries = 2;
+            p.exponentialBackoff = true;
+            p.backoffBase = 1;
+        });
+    EXPECT_EQ(got,
+              (OpticalGolden{106255, 83555, 95725, 79191, 67152, 106255,
+                             10530, 14509, 10530, 98176, 0, 0, 0, 0, 0,
+                             0, 0, 10530, 10530, 57156, 9996, 106255,
+                             1534, 13, 10557088616024691244ull,
+                             13453603341679024003ull,
+                             14638955661718599574ull}));
+}
+
+TEST(OpticalGolden, UniformBroadcastDropperIdCorrupt)
+{
+    const OpticalGolden got =
+        runContendedGolden([](PhastlaneParams &p) {
+            p.routerBufferEntries = 2;
+            p.faults.dropperIdCorruptRate = 0.3;
+            p.faults.faultSeed = 5;
+        });
+    EXPECT_EQ(got,
+              (OpticalGolden{112435, 79549, 99291, 79191, 70718, 112435,
+                             13144, 16683, 13144, 97536, 0, 0, 0, 0,
+                             2892, 0, 1231, 13144, 13144, 61122, 9596,
+                             112435, 1524, 27, 11386909768222980670ull,
+                             2473447780825591605ull,
+                             8898060825443080681ull}));
 }
 
 } // namespace
