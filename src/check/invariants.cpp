@@ -123,7 +123,7 @@ InvariantChecker::onBranchFinal(const core::OpticalPacket &pkt,
         if (!pkt.tapsDone()) {
             violation("multicast branch %" PRIu64 " finished at node "
                       "%d with %zu taps unserved",
-                      pkt.branchId, router, pkt.remainingTaps().size());
+                      pkt.branchId, router, pkt.taps.size() - pkt.tapCursor);
         }
     } else if (router != pkt.finalDst) {
         violation("unicast branch %" PRIu64 " finished at node %d, "

@@ -95,7 +95,7 @@ namespace {
  */
 ControlProgram
 buildProgram(const MeshTopology &mesh, NodeId from, NodeId dst,
-             const std::vector<NodeId> &taps, int max_hops)
+             std::span<const NodeId> taps, int max_hops)
 {
     PL_ASSERT(from != dst, "empty route");
     PL_ASSERT(max_hops >= 1, "hop limit must be at least 1");
@@ -175,13 +175,13 @@ buildUnicastProgram(const MeshTopology &mesh, NodeId from, NodeId dst,
 
 ControlProgram
 buildMulticastProgram(const MeshTopology &mesh, NodeId from,
-                      const MulticastBranch &branch, int max_hops)
+                      std::span<const NodeId> taps, int max_hops)
 {
-    PL_ASSERT(!branch.taps.empty(), "multicast branch without taps");
-    const NodeId final_dst = branch.finalDst();
-    PL_ASSERT(from != final_dst || branch.taps.size() > 1,
+    PL_ASSERT(!taps.empty(), "multicast branch without taps");
+    const NodeId final_dst = taps.back();
+    PL_ASSERT(from != final_dst || taps.size() > 1,
               "multicast branch degenerates to self");
-    return buildProgram(mesh, from, final_dst, branch.taps, max_hops);
+    return buildProgram(mesh, from, final_dst, taps, max_hops);
 }
 
 std::vector<MulticastBranch>

@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -171,14 +172,15 @@ ControlProgram buildUnicastProgram(const MeshTopology &mesh, NodeId from,
                                    NodeId dst, int max_hops);
 
 /**
- * Build the control program for a multicast branch from @p from. Every
- * tap router gets its Multicast bit; interim Local bits are inserted
- * every @p max_hops routers. All taps must lie on the dimension-order
- * route from @p from to the final tap.
+ * Build the control program for a multicast branch from @p from to
+ * its @p taps (path order; the last one is the branch's final
+ * destination). Every tap router gets its Multicast bit; interim
+ * Local bits are inserted every @p max_hops routers. All taps must lie
+ * on the dimension-order route from @p from to the final tap.
  */
 ControlProgram buildMulticastProgram(const MeshTopology &mesh,
                                      NodeId from,
-                                     const MulticastBranch &branch,
+                                     std::span<const NodeId> taps,
                                      int max_hops);
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "common/log.hpp"
 
@@ -158,9 +159,9 @@ PhastlaneNetwork::buildProgram(NodeId from, const OpticalPacket &pkt)
     const
 {
     if (pkt.multicast) {
-        MulticastBranch branch;
-        branch.taps = pkt.remainingTaps();
-        return buildMulticastProgram(mesh_, from, branch,
+        const std::span<const NodeId> unserved =
+            std::span<const NodeId>(pkt.taps).subspan(pkt.tapCursor);
+        return buildMulticastProgram(mesh_, from, unserved,
                                      params_.maxHopsPerCycle);
     }
     // A unicast program is a pure function of (launch router,
@@ -239,39 +240,31 @@ PhastlaneNetwork::resolveOutcomes()
             ref.queue, ref.packet);
     }
     pendingReleases_.clear();
-    for (auto &o : pendingDrops_) {
+    for (const LaunchOutcome &o : pendingDrops_) {
         auto &rb = routers_[static_cast<size_t>(o.ref.router)];
-        {
-            BufferEntry *e = rb.findLaunchedIn(o.ref.queue,
-                                               o.ref.packet);
-            PL_ASSERT(e, "dropped launch lost its buffer entry");
-            if (o.updated.multicast &&
-                faultRoll(params_.faults,
-                          params_.faults.dropperIdCorruptRate,
-                          FaultKind::DropperIdCorrupt,
-                          o.updated.branchId,
-                          static_cast<uint64_t>(cycle_), 0)) {
-                // The dropper's Node ID arrived corrupted: the holder
-                // cannot clear the Multicast bits its dropped attempt
-                // already served, so it keeps its stored (pre-launch)
-                // branch state and retransmits it whole. Taps the
-                // failed attempt did serve are recorded in dedupBelow
-                // for receiver-side duplicate suppression. The retry
-                // cycle is drawn exactly as in the clean path so the
-                // backoff RNG stays in lockstep with the oracle.
-                ++events_.faultCorruptions;
-                e->pkt.dedupBelow = std::max(e->pkt.dedupBelow,
-                                             o.updated.tapCursor);
-                e->state = EntryState::Waiting;
-                e->eligibleAt = dropRetryCycle(e->attempts + 1);
-                ++e->attempts;
-                rb.noteEligible(e->eligibleAt);
-            } else {
-                rb.restoreDropped(o.ref.queue, o.ref.packet,
-                                  std::move(o.updated),
-                                  dropRetryCycle(e->attempts + 1));
-            }
+        BufferEntry *e = rb.findLaunchedIn(o.ref.queue, o.ref.packet);
+        PL_ASSERT(e, "dropped launch lost its buffer entry");
+        // The dropped attempt served its taps in the entry's packet,
+        // which therefore already holds the tap-reduced retry state.
+        OpticalPacket &pkt = e->pkt;
+        if (pkt.multicast &&
+            faultRoll(params_.faults, params_.faults.dropperIdCorruptRate,
+                      FaultKind::DropperIdCorrupt, pkt.branchId,
+                      static_cast<uint64_t>(cycle_), 0)) {
+            // The dropper's Node ID arrived corrupted: the holder
+            // cannot clear the Multicast bits its dropped attempt
+            // already served, so it rewinds to its launch-time branch
+            // state and retransmits it whole. Taps the failed attempt
+            // did serve are recorded in dedupBelow for receiver-side
+            // duplicate suppression. The retry cycle is drawn exactly
+            // as in the clean path so the backoff RNG stays in
+            // lockstep with the oracle.
+            ++events_.faultCorruptions;
+            pkt.dedupBelow = std::max(pkt.dedupBelow, pkt.tapCursor);
+            pkt.tapCursor = o.launchCursor;
         }
+        rb.restoreDropped(o.ref.queue, *e,
+                          dropRetryCycle(e->attempts + 1));
     }
     pendingDrops_.clear();
 }
@@ -326,17 +319,19 @@ PhastlaneNetwork::launchRouter(NodeId r)
                 ++counters_.packetsInjected;
             }
 
-            // Built in place: a Flight carries its inline program and
-            // return path, so a build-then-push would copy it whole.
-            Flight &f = flights.emplace_back();
-            f.pkt = entry->pkt;
             // AgeBoost is recomputed at every launch from residence
-            // age, never persisted: a retransmission may gain (or, on
-            // re-buffering, lose) the promotion.
-            f.pkt.boosted =
+            // age: a retransmission may gain (or, on re-buffering,
+            // lose) the promotion.
+            entry->pkt.boosted =
                 params_.admission == AdmissionPolicy::AgeBoost &&
                 cycle_ - entry->enqueuedAt >=
                     static_cast<Cycle>(params_.admissionAgeThreshold);
+            // Built in place: a Flight carries its inline program and
+            // return path, so a build-then-push would copy it whole.
+            // The packet itself stays in its holder entry.
+            Flight &f = flights.emplace_back();
+            f.pkt = &entry->pkt;
+            f.launchCursor = entry->pkt.tapCursor;
             f.prog = buildProgram(r, entry->pkt);
             f.launchRouter = r;
             f.at = mesh_.neighbor(r, out);
@@ -346,7 +341,7 @@ PhastlaneNetwork::launchRouter(NodeId r)
             f.holder = EntryRef{r, queue, entry->pkt.branchId};
             setClaim(r, out);
             if (observer_)
-                observer_->onLaunch(f.pkt, r, out, entry->attempts);
+                observer_->onLaunch(entry->pkt, r, out, entry->attempts);
         }
     }
 }
@@ -358,29 +353,30 @@ PhastlaneNetwork::serveTapAt(Flight &f)
     // a copy delivered to this node — unless the tap was already
     // served by a pre-corruption attempt (duplicate suppression) or
     // the receive resonator missed the capture (injected fault).
-    PL_ASSERT(!f.pkt.tapsDone() && f.pkt.nextTap() == f.at,
+    OpticalPacket &pkt = *f.pkt;
+    PL_ASSERT(!pkt.tapsDone() && pkt.nextTap() == f.at,
               "tap bookkeeping out of sync at node %d", f.at);
-    if (f.pkt.tapCursor < f.pkt.dedupBelow) {
-        f.pkt.serveTap();
+    if (pkt.tapCursor < pkt.dedupBelow) {
+        pkt.serveTap();
         ++events_.duplicatesSuppressed;
         if (observer_)
-            observer_->onDuplicate(f.pkt, f.at);
+            observer_->onDuplicate(pkt, f.at);
         return;
     }
     if (faultRoll(params_.faults, params_.faults.missedReceiveRate,
-                  FaultKind::MissedReceive, f.pkt.branchId,
+                  FaultKind::MissedReceive, pkt.branchId,
                   static_cast<uint64_t>(cycle_),
                   static_cast<uint64_t>(f.at))) {
-        f.pkt.serveTap();
+        pkt.serveTap();
         ++events_.faultMissedReceives;
-        loseUnits(f.pkt, f.at, 1, LostCause::MissedReceive);
+        loseUnits(pkt, f.at, 1, LostCause::MissedReceive);
         return;
     }
-    deliver(f.pkt, f.at);
-    f.pkt.serveTap();
+    deliver(pkt, f.at);
+    pkt.serveTap();
     ++events_.tapReceives;
     if (observer_)
-        observer_->onTap(f.pkt, f.at);
+        observer_->onTap(pkt, f.at);
 }
 
 int
@@ -418,7 +414,7 @@ PhastlaneNetwork::deadRouterArrival(Flight &f)
     // success" rule frees the buffer slot next cycle. Every remaining
     // delivery unit of the branch is lost.
     ++events_.faultDeadArrivals;
-    loseUnits(f.pkt, f.at, unitsOutstanding(f.pkt),
+    loseUnits(*f.pkt, f.at, unitsOutstanding(*f.pkt),
               LostCause::DeadRouter);
     pendingReleases_.push_back(f.holder);
     f.active = false;
@@ -447,25 +443,26 @@ PhastlaneNetwork::handleArrival(Flight &f)
                 // Unicast destination: deliver through the local
                 // receive resonators (multicast finals were already
                 // delivered by the tap above).
-                PL_ASSERT(f.at == f.pkt.finalDst,
+                PL_ASSERT(f.at == f.pkt->finalDst,
                           "unicast final at wrong node");
                 if (faultRoll(params_.faults,
                               params_.faults.missedReceiveRate,
                               FaultKind::MissedReceive,
-                              f.pkt.branchId,
+                              f.pkt->branchId,
                               static_cast<uint64_t>(cycle_),
                               static_cast<uint64_t>(f.at))) {
                     ++events_.faultMissedReceives;
-                    loseUnits(f.pkt, f.at, 1, LostCause::MissedReceive);
+                    loseUnits(*f.pkt, f.at, 1,
+                              LostCause::MissedReceive);
                 } else {
-                    deliver(f.pkt, f.at);
+                    deliver(*f.pkt, f.at);
                 }
             }
             ++events_.receives;
             pendingReleases_.push_back(f.holder);
             f.active = false;
             if (observer_)
-                observer_->onBranchFinal(f.pkt, f.at);
+                observer_->onBranchFinal(*f.pkt, f.at);
         } else {
             // Interim node: buffer and assume responsibility.
             receiveOrDrop(f, true);
@@ -486,14 +483,18 @@ PhastlaneNetwork::receiveOrDrop(Flight &f, bool interim)
             ++pl_.interimAccepts;
         else
             ++pl_.blockedBuffered;
-        // Re-launchable from the next cycle's arbitration.
-        rb.push(f.inPort, f.pkt, cycle_ + 1);
+        // Re-launchable from the next cycle's arbitration. The packet
+        // moves out of its holder, which from here on is matched only
+        // by branchId (the release below).
+        BufferEntry &entry = rb.emplaceEntry(f.inPort, cycle_ + 1);
+        entry.pkt = std::move(*f.pkt);
         pendingReleases_.push_back(f.holder);
         if (observer_)
-            observer_->onBufferReceive(f.pkt, f.at, f.inPort, interim);
+            observer_->onBufferReceive(entry.pkt, f.at, f.inPort,
+                                       interim);
     } else if (faultRoll(params_.faults,
                          params_.faults.dropSignalLossRate,
-                         FaultKind::DropSignalLoss, f.pkt.branchId,
+                         FaultKind::DropSignalLoss, f.pkt->branchId,
                          static_cast<uint64_t>(cycle_),
                          static_cast<uint64_t>(f.at))) {
         // Dropped, but the Packet-Dropped return signal is lost in
@@ -507,8 +508,8 @@ PhastlaneNetwork::receiveOrDrop(Flight &f, bool interim)
         ++events_.dropSignalsLost;
         pendingReleases_.push_back(f.holder);
         if (observer_)
-            observer_->onDrop(f.pkt, f.at, f.holder.router, 0, true);
-        loseUnits(f.pkt, f.at, unitsOutstanding(f.pkt),
+            observer_->onDrop(*f.pkt, f.at, f.holder.router, 0, true);
+        loseUnits(*f.pkt, f.at, unitsOutstanding(*f.pkt),
                   LostCause::SignalLost);
     } else {
         // Dropped: the return path carries the Packet Dropped signal
@@ -519,9 +520,9 @@ PhastlaneNetwork::receiveOrDrop(Flight &f, bool interim)
         const int signal_hops =
             returnPaths_.signalDrop(f.path.data(), f.pathLen);
         events_.dropSignalHops += static_cast<uint64_t>(signal_hops);
-        pendingDrops_.push_back(LaunchOutcome{f.holder, f.pkt});
+        pendingDrops_.push_back(LaunchOutcome{f.holder, f.launchCursor});
         if (observer_)
-            observer_->onDrop(f.pkt, f.at, f.holder.router,
+            observer_->onDrop(*f.pkt, f.at, f.holder.router,
                               signal_hops, false);
     }
     f.active = false;
@@ -541,7 +542,7 @@ PhastlaneNetwork::collectPassRequests(
         if (handleArrival(f))
             continue;
         if (faultRoll(params_.faults, params_.faults.misTurnRate,
-                      FaultKind::MisTurn, f.pkt.branchId,
+                      FaultKind::MisTurn, f.pkt->branchId,
                       static_cast<uint64_t>(cycle_),
                       static_cast<uint64_t>(f.at))) {
             // Pass resonator mis-tuned: instead of transiting, the
@@ -558,7 +559,7 @@ PhastlaneNetwork::collectPassRequests(
         const Turn t = g.turn();
         r.out = applyTurn(f.inPort, t);
         r.straight = (t == Turn::Straight);
-        r.boosted = f.pkt.boosted;
+        r.boosted = f.pkt->boosted;
         requests.push_back(r);
     }
 }
@@ -572,7 +573,7 @@ PhastlaneNetwork::applyPassWin(std::vector<Flight> &flights,
     setClaim(router, out);
     ++events_.passTraversals;
     if (observer_)
-        observer_->onPass(f.pkt, router);
+        observer_->onPass(*f.pkt, router);
     returnPaths_.registerHop(router, f.inPort, out);
     f.recordHop(ReturnHop{router, f.inPort, out});
     f.prog.translate();
@@ -861,7 +862,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
             it.claims.push_back(
                 ItineraryClaim{f.at, out,
                                g.turn() == Turn::Straight,
-                               f.pkt.boosted, f.inPort});
+                               f.pkt->boosted, f.inPort});
             f.prog.translate();
             f.at = mesh_.neighbor(f.at, out);
             PL_ASSERT(f.at != kInvalidNode, "route left the mesh");
@@ -959,7 +960,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
             if (handleArrival(f))
                 break;
             if (faultRoll(params_.faults, params_.faults.misTurnRate,
-                          FaultKind::MisTurn, f.pkt.branchId,
+                          FaultKind::MisTurn, f.pkt->branchId,
                           static_cast<uint64_t>(cycle_),
                           static_cast<uint64_t>(f.at))) {
                 // Mis-tuned pass resonator (as in the FCFS model).
@@ -976,7 +977,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
             setClaim(f.at, out);
             ++events_.passTraversals;
             if (observer_)
-                observer_->onPass(f.pkt, f.at);
+                observer_->onPass(*f.pkt, f.at);
             returnPaths_.registerHop(f.at, f.inPort, out);
             f.recordHop(ReturnHop{f.at, f.inPort, out});
             f.prog.translate();

@@ -64,13 +64,6 @@ struct OpticalPacket {
     /** Mark the next tap served. */
     void serveTap() { ++tapCursor; }
 
-    /** The unserved taps, in path order. */
-    std::vector<NodeId> remainingTaps() const
-    {
-        return std::vector<NodeId>(taps.begin() + tapCursor,
-                                   taps.end());
-    }
-
     /** AgeBoost promotion (DESIGN.md §14): recomputed at every launch
      *  from the buffer entry's residence age; while set, the wavefront
      *  ranks this packet as if it were travelling straight, so starved

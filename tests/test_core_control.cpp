@@ -252,7 +252,7 @@ TEST_P(BroadcastCoverage, ProgramsBuildForAllBranches)
     for (int hops : {4, 5, 8}) {
         for (const auto &b : splitBroadcast(mesh, src)) {
             ControlProgram p =
-                buildMulticastProgram(mesh, src, b, hops);
+                buildMulticastProgram(mesh, src, b.taps, hops);
             // Count multicast bits: one per tap.
             size_t mcast = 0;
             for (size_t i = 0; i < p.remaining(); ++i)
