@@ -632,6 +632,15 @@ defaultCampaign(int seeds_per_cell, Cycle cycles)
         0.08, 0.05, noop);
     add("uniform-13x9-h5-d1", 13, 9, 5, 1, Pattern::UniformRandom,
         0.12, 0.10, noop);
+
+    // Deep buffers, as in Optical4IB and Optical4B64 (half of the
+    // Fig 10/11 optical configs): broadcast-heavy loads keep dozens of
+    // entries per router waiting, so launch arbitration resolves ports
+    // over long queues.
+    add("bcast-8x8-h4-dinf", 8, 8, 4, 0, Pattern::UniformRandom, 0.10,
+        0.20, noop);
+    add("bcast-8x8-h4-d64", 8, 8, 4, 64, Pattern::UniformRandom, 0.10,
+        0.20, noop);
     return cells;
 }
 

@@ -31,8 +31,9 @@ TEST(CheckDifferential, CampaignAgreesAcrossMatrix)
 {
     // Tier-1: every cell x 5 seeds over >= 5 patterns, mesh shapes
     // from 4x2 to 16x16 (multi-word planes included), H in {4,5,8},
-    // depths {1,2,10}, shared pools, both arbitrations, exponential
-    // backoff, faults, admission policies and adversarial mixes.
+    // depths {1,2,10,64,infinite}, shared pools, both arbitrations,
+    // exponential backoff, faults, admission policies and adversarial
+    // mixes.
     const int seeds = longMode() ? 25 : 5;
     const Cycle cycles = longMode() ? 400 : 120;
     const auto cells = defaultCampaign(seeds, cycles);
