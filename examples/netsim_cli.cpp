@@ -229,6 +229,56 @@ class BatchSyntheticJob final : public sim::MultiSim::Job
     traffic::SyntheticDriver driver_;
 };
 
+/**
+ * --wavefront selects the contention engine (DESIGN.md §11): bitplane
+ * (word-parallel FCFS, default), fcfs (the scalar reference), or
+ * global (the eviction-priority ablation). --mesh WxH resizes the
+ * router grid. Both rebuild the optical network @p net once, before
+ * any mode branches off, so every mode (the fault sweep included)
+ * and every observer sees them.
+ */
+void
+applyEngineFlags(const Config &args, std::unique_ptr<Network> &net)
+{
+    if (!args.has("wavefront") && !args.has("mesh"))
+        return;
+    auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
+    if (!pl)
+        panic("--%s supports optical (Phastlane) configurations only",
+              args.has("wavefront") ? "wavefront" : "mesh");
+    core::PhastlaneParams p = pl->params();
+    if (args.has("wavefront")) {
+        const std::string name = args.getString("wavefront", "");
+        if (name == "bitplane")
+            p.wavefront = core::WavefrontModel::BitplaneFcfs;
+        else if (name == "fcfs")
+            p.wavefront = core::WavefrontModel::SubstepFcfs;
+        else if (name == "global")
+            p.wavefront = core::WavefrontModel::GlobalPriority;
+        else
+            panic("--wavefront expects bitplane, fcfs or global "
+                  "(got '%s')",
+                  name.c_str());
+    }
+    if (args.has("mesh")) {
+        const std::string spec = args.getString("mesh", "");
+        const size_t x = spec.find('x');
+        int w = 0;
+        int h = 0;
+        if (x != std::string::npos) {
+            w = std::atoi(spec.substr(0, x).c_str());
+            h = std::atoi(spec.substr(x + 1).c_str());
+        }
+        if (w < 1 || h < 1)
+            panic("--mesh expects WxH with positive dimensions "
+                  "(got '%s')",
+                  spec.c_str());
+        p.meshWidth = w;
+        p.meshHeight = h;
+    }
+    net = std::make_unique<core::PhastlaneNetwork>(p);
+}
+
 std::vector<std::string>
 knownFlags()
 {
@@ -340,20 +390,20 @@ main(int argc, char **argv)
         static_cast<uint64_t>(args.getInt("seed", 42));
 
     const sim::NetConfig cfg = sim::makeConfig(config_name);
+    auto net = cfg.make(seed);
+    applyEngineFlags(args, net);
 
     // Fault-sweep campaign mode: run the fault-rate sweep and exit.
     const std::string fault_sweep_path =
         args.getString("fault-sweep-out", "");
     if (!fault_sweep_path.empty()) {
-        auto probe = cfg.make(seed);
-        auto *pl =
-            dynamic_cast<core::PhastlaneNetwork *>(probe.get());
+        auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
         if (!pl)
             panic("--fault-sweep-out supports optical (Phastlane) "
                   "configurations only");
         sim::FaultSweepConfig fs;
         fs.params = pl->params();
-        probe.reset();
+        net.reset();
         sim::applyFaultFlags(args, fs.params.faults);
         fs.sweepField =
             args.getString("fault-field", "dropSignalLossRate");
@@ -404,58 +454,6 @@ main(int argc, char **argv)
         std::printf("fault sweep: wrote %s\n",
                     fault_sweep_path.c_str());
         return 0;
-    }
-
-    auto net = cfg.make(seed);
-
-    // --wavefront selects the contention engine (DESIGN.md §11):
-    // bitplane (word-parallel FCFS, default), fcfs (the scalar
-    // reference), or global (the eviction-priority ablation).
-    if (args.has("wavefront")) {
-        const std::string name = args.getString("wavefront", "");
-        core::WavefrontModel model;
-        if (name == "bitplane")
-            model = core::WavefrontModel::BitplaneFcfs;
-        else if (name == "fcfs")
-            model = core::WavefrontModel::SubstepFcfs;
-        else if (name == "global")
-            model = core::WavefrontModel::GlobalPriority;
-        else
-            panic("--wavefront expects bitplane, fcfs or global "
-                  "(got '%s')",
-                  name.c_str());
-        auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
-        if (!pl)
-            panic("--wavefront supports optical (Phastlane) "
-                  "configurations only");
-        core::PhastlaneParams p = pl->params();
-        p.wavefront = model;
-        net = std::make_unique<core::PhastlaneNetwork>(p);
-    }
-
-    // --mesh WxH resizes the router grid, rebuilding the network
-    // before any observer attaches.
-    if (args.has("mesh")) {
-        auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
-        if (!pl)
-            panic("--mesh supports optical (Phastlane) configurations "
-                  "only");
-        core::PhastlaneParams p = pl->params();
-        const std::string spec = args.getString("mesh", "");
-        const size_t x = spec.find('x');
-        int w = 0;
-        int h = 0;
-        if (x != std::string::npos) {
-            w = std::atoi(spec.substr(0, x).c_str());
-            h = std::atoi(spec.substr(x + 1).c_str());
-        }
-        if (w < 1 || h < 1)
-            panic("--mesh expects WxH with positive dimensions "
-                  "(got '%s')",
-                  spec.c_str());
-        p.meshWidth = w;
-        p.meshHeight = h;
-        net = std::make_unique<core::PhastlaneNetwork>(p);
     }
 
     // Fault flags rebuild the optical network with the requested
