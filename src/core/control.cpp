@@ -1,6 +1,7 @@
 #include "core/control.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/log.hpp"
 
@@ -51,12 +52,23 @@ ControlGroup::unpack(uint8_t bits)
     return g;
 }
 
+ControlProgram::ControlProgram(const Planes &planes, size_t size)
+    : planes_(planes)
+{
+    if (size > static_cast<size_t>(kMaxGroups))
+        fatal("control program exceeds %d groups", kMaxGroups);
+    size_ = static_cast<uint8_t>(size);
+}
+
 void
 ControlProgram::append(const ControlGroup &g)
 {
     if (size_ >= kMaxGroups)
         fatal("control program exceeds %d groups", kMaxGroups);
-    groups_[size_++] = g;
+    const unsigned bits = g.pack();
+    for (int p = 0; p < kPlanes; ++p)
+        planes_[p] |= static_cast<uint16_t>(((bits >> p) & 1u) << size_);
+    ++size_;
 }
 
 std::string
@@ -64,7 +76,7 @@ ControlProgram::toString() const
 {
     std::string out;
     for (size_t i = cursor_; i < size_; ++i) {
-        const ControlGroup &g = groups_[i];
+        const ControlGroup g = at(i);
         out += '[';
         if (g.straight)
             out += 'S';
@@ -83,84 +95,75 @@ ControlProgram::toString() const
 
 namespace {
 
+constexpr int kMaxGroups = ControlProgram::kMaxGroups;
+
+/** Groups i with (i + 1) % spacing == 0, by spacing 1..kMaxGroups:
+ *  the interim stops of a route at that hop limit. */
+constexpr auto kInterimStops = [] {
+    std::array<uint16_t, kMaxGroups + 1> t{};
+    for (int s = 1; s <= kMaxGroups; ++s) {
+        for (int i = s - 1; i < kMaxGroups; i += s)
+            t[static_cast<size_t>(s)] |= static_cast<uint16_t>(1u << i);
+    }
+    return t;
+}();
+
 /**
- * Shared group construction over the dimension-order route from
- * @p from to @p dst, walked incrementally — programs are rebuilt on
- * every launch, so this path must not allocate (the explicit
- * xyRoute()/xyPath() vectors it used to build were a top allocation
- * site in the step() hot path).
- *
- * @param taps Nodes that must get their Multicast bit (path order;
- *        every tap must lie on the route).
+ * The program of a launch at @p f over the dimension-order route to
+ * @p d whose last @p taps routers are unserved multicast taps (0 for
+ * a unicast), in closed form. Group i addresses the (i + 1)-th router
+ * entered; see DESIGN.md §3.8.
  */
 ControlProgram
-buildProgram(const MeshTopology &mesh, NodeId from, NodeId dst,
-             std::span<const NodeId> taps, int max_hops)
+routeProgram(Coord f, Coord d, int taps, int max_hops)
 {
-    PL_ASSERT(from != dst, "empty route");
+    PL_ASSERT(!(f == d), "empty route");
     PL_ASSERT(max_hops >= 1, "hop limit must be at least 1");
-
-    const Coord d = mesh.coordOf(dst);
-    // Next XY-route step out of @p c (X first, then Y); must not be
-    // called at the destination.
-    const auto stepDir = [&d](const Coord &c) {
-        if (c.x < d.x)
-            return Port::East;
-        if (c.x > d.x)
-            return Port::West;
-        return c.y < d.y ? Port::North : Port::South;
-    };
+    const int dx = std::abs(d.x - f.x);
+    const int dy = std::abs(d.y - f.y);
+    const int hops = dx + dy;
 
     // Routes longer than the C0+C1 budget cannot carry a group per
-    // router: the program is truncated at kMaxGroups groups with an
-    // interim stop forced no later than the last-but-one group (the
-    // last group must stay, or the interim's Local bit would read as
-    // a final destination). The packet re-launches from that interim
-    // with a fresh program, so truncation costs extra segments, never
-    // correctness; see programStopHops() for the oracle-shared rule.
-    const size_t route_hops =
-        static_cast<size_t>(mesh.hopDistance(from, dst));
-    const bool truncated =
-        route_hops > static_cast<size_t>(ControlProgram::kMaxGroups);
+    // router: the program is truncated at kMaxGroups pass-through
+    // groups with an interim stop forced no later than the
+    // last-but-one group (the last group must stay, or the interim's
+    // Local bit would read as a final destination). The packet
+    // re-launches from that interim with a fresh program, so
+    // truncation costs extra segments, never correctness; see
+    // programStopHops() for the oracle-shared rule.
+    const bool truncated = hops > kMaxGroups;
+    const int size = truncated ? kMaxGroups : hops;
     const int spacing =
-        truncated ? std::min(max_hops, ControlProgram::kMaxGroups - 1)
-                  : max_hops;
+        truncated ? std::min(max_hops, kMaxGroups - 1) : max_hops;
+    const unsigned all = (1u << size) - 1;
+    const unsigned final_group = truncated ? 0 : 1u << (hops - 1);
+    const unsigned pass = all & ~final_group;
 
-    ControlProgram prog;
-    size_t tap_idx = 0;
-    Coord c = mesh.coordOf(from);
-    for (int i = 0; !(c == d); ++i) {
-        const Port dir = stepDir(c); // direction into node i
-        switch (dir) {
-          case Port::East: c.x += 1; break;
-          case Port::West: c.x -= 1; break;
-          case Port::North: c.y += 1; break;
-          default: c.y -= 1; break;
-        }
-        const NodeId node = mesh.nodeAt(c);
-        ControlGroup g;
-        if (!(c == d)) {
-            // Pass-through (possibly also an interim stop): the
-            // direction bits select the output port and arm the
-            // return path.
-            g.setTurn(turnBetween(opposite(dir), stepDir(c)));
-            // Interim node every spacing routers.
-            if ((i + 1) % spacing == 0)
-                g.local = true;
-        } else {
-            g.local = true;
-        }
-        if (tap_idx < taps.size() && taps[tap_idx] == node) {
-            g.multicast = true;
-            ++tap_idx;
-        }
-        prog.append(g);
-        if (truncated && i + 1 == ControlProgram::kMaxGroups)
-            break;
+    // Every pass-through group goes straight except the one that ends
+    // the X run of a route with both legs, which turns into Y: left
+    // when heading east then north or west then south, else right.
+    // Branch-free, since the turn of a random route is unpredictable.
+    const unsigned turn =
+        dx != 0 && dy != 0 && dx <= size ? 1u << (dx - 1) : 0u;
+    const bool left = (d.x > f.x) == (d.y > f.y);
+    ControlProgram::Planes planes{};
+    planes[ControlProgram::Left] = static_cast<uint16_t>(left ? turn : 0u);
+    planes[ControlProgram::Right] =
+        static_cast<uint16_t>(left ? 0u : turn);
+    planes[ControlProgram::Straight] =
+        static_cast<uint16_t>(pass & ~turn);
+    const unsigned interim =
+        spacing <= kMaxGroups ? kInterimStops[static_cast<size_t>(spacing)]
+                              : 0u;
+    planes[ControlProgram::Local] =
+        static_cast<uint16_t>((interim & pass) | final_group);
+    // The unserved taps are the route's last `taps` routers.
+    const int first_tap = hops - taps;
+    if (taps > 0 && first_tap < size) {
+        planes[ControlProgram::Multicast] =
+            static_cast<uint16_t>(all & ~((1u << first_tap) - 1));
     }
-    PL_ASSERT(truncated || tap_idx == taps.size(),
-              "multicast tap not on the dimension-order route");
-    return prog;
+    return ControlProgram(planes, static_cast<size_t>(size));
 }
 
 } // namespace
@@ -170,7 +173,8 @@ buildUnicastProgram(const MeshTopology &mesh, NodeId from, NodeId dst,
                     int max_hops)
 {
     PL_ASSERT(from != dst, "unicast to self");
-    return buildProgram(mesh, from, dst, {}, max_hops);
+    return routeProgram(mesh.coordOf(from), mesh.coordOf(dst), 0,
+                        max_hops);
 }
 
 ControlProgram
@@ -181,7 +185,27 @@ buildMulticastProgram(const MeshTopology &mesh, NodeId from,
     const NodeId final_dst = taps.back();
     PL_ASSERT(from != final_dst || taps.size() > 1,
               "multicast branch degenerates to self");
-    return buildProgram(mesh, from, final_dst, taps, max_hops);
+    const Coord f = mesh.coordOf(from);
+    const Coord d = mesh.coordOf(final_dst);
+    // Distinct taps in path order ending at the final tap are the
+    // route's last k routers exactly when the first one sits k - 1
+    // routers before the final tap: walk back along the Y leg, then
+    // the X leg.
+    const int k = static_cast<int>(taps.size());
+    const int dy = std::abs(d.y - f.y);
+    PL_ASSERT(k <= std::abs(d.x - f.x) + dy,
+              "multicast branch has more taps than its route routers");
+    Coord first = d;
+    if (k - 1 <= dy) {
+        first.y += d.y > f.y ? 1 - k : k - 1;
+    } else {
+        first.y = f.y;
+        first.x += d.x > f.x ? dy + 1 - k : k - 1 - dy;
+    }
+    PL_ASSERT(mesh.nodeAt(first) == taps.front(),
+              "multicast taps are not the tail of the dimension-order "
+              "route");
+    return routeProgram(f, d, k, max_hops);
 }
 
 std::vector<MulticastBranch>

@@ -66,10 +66,10 @@ struct ControlGroup {
 /**
  * The full route program of a packet: Group 1 first.
  *
- * Storage is inline (the hardware bound is 14 groups), so building,
- * copying, and moving a program never touches the heap — programs are
- * rebuilt on every optical launch, which made this a measurable
- * allocation hot spot in PhastlaneNetwork::step().
+ * Stored as five 16-bit planes, one per control bit, where bit i
+ * belongs to group i, plus a size and a cursor: 12 bytes, built in
+ * closed form at every launch and carried inline by each Flight
+ * (DESIGN.md §3.8).
  */
 class ControlProgram
 {
@@ -77,7 +77,16 @@ class ControlProgram
     /** C0+C1 hold 14 groups of 5 bits (70 control bits, Table 1). */
     static constexpr int kMaxGroups = 14;
 
+    /** One plane per control bit, in ControlGroup::pack() order. */
+    enum Plane : uint8_t { Straight, Left, Right, Local, Multicast,
+                           kPlanes };
+    using Planes = std::array<uint16_t, kPlanes>;
+
     ControlProgram() = default;
+
+    /** A program of @p size groups whose plane bit i is group i;
+     *  fatal() beyond kMaxGroups. */
+    ControlProgram(const Planes &planes, size_t size);
 
     /** Append a group; fatal() beyond kMaxGroups. */
     void append(const ControlGroup &g);
@@ -91,19 +100,19 @@ class ControlProgram
     // wavefront hot path; inline definitions keep them call-free.
 
     /** Group 1: the group for the router being entered next. */
-    const ControlGroup &front() const
+    ControlGroup front() const
     {
         PL_ASSERT(!empty(), "reading Group 1 of an empty control "
                             "program");
-        return groups_[cursor_];
+        return at(cursor_);
     }
 
     /** Group @p i (0 = Group 1) among the remaining groups. */
-    const ControlGroup &group(size_t i) const
+    ControlGroup group(size_t i) const
     {
         PL_ASSERT(cursor_ + i < size_,
                   "control group index out of range");
-        return groups_[cursor_ + i];
+        return at(cursor_ + i);
     }
 
     /**
@@ -120,7 +129,21 @@ class ControlProgram
     std::string toString() const;
 
   private:
-    std::array<ControlGroup, kMaxGroups> groups_{};
+    ControlGroup at(size_t bit) const
+    {
+        const auto on = [&](Plane p) {
+            return ((planes_[p] >> bit) & 1u) != 0;
+        };
+        ControlGroup g;
+        g.straight = on(Straight);
+        g.left = on(Left);
+        g.right = on(Right);
+        g.local = on(Local);
+        g.multicast = on(Multicast);
+        return g;
+    }
+
+    Planes planes_{};
     uint8_t size_ = 0;
     uint8_t cursor_ = 0;
 };
@@ -163,7 +186,9 @@ struct MulticastBranch {
 /**
  * Build the control program for a unicast transmission from @p from to
  * @p dst over the dimension-order route, inserting interim-node Local
- * bits every @p max_hops routers (paper Section 2.1.3).
+ * bits every @p max_hops routers (paper Section 2.1.3). O(1): the
+ * program is a closed-form function of the two endpoints and the hop
+ * limit (DESIGN.md §3.8).
  *
  * @p from may be an intermediate router re-launching a buffered
  * packet; the rebuilt program naturally bypasses stale interim nodes.
@@ -173,10 +198,13 @@ ControlProgram buildUnicastProgram(const MeshTopology &mesh, NodeId from,
 
 /**
  * Build the control program for a multicast branch from @p from to
- * its @p taps (path order; the last one is the branch's final
- * destination). Every tap router gets its Multicast bit; interim
- * Local bits are inserted every @p max_hops routers. All taps must lie
- * on the dimension-order route from @p from to the final tap.
+ * its unserved @p taps (path order; the last one is the branch's
+ * final destination). Every tap router gets its Multicast bit; interim
+ * Local bits are inserted every @p max_hops routers. The taps must be
+ * the last taps.size() routers of the dimension-order route from
+ * @p from to the final tap, as they are for every router a
+ * splitBroadcast() branch can launch from; O(1), and checked in O(1)
+ * by the position of the first tap.
  */
 ControlProgram buildMulticastProgram(const MeshTopology &mesh,
                                      NodeId from,

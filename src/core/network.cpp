@@ -59,13 +59,6 @@ PhastlaneNetwork::PhastlaneNetwork(const PhastlaneParams &params)
     const size_t flat_ports =
         static_cast<size_t>(mesh_.nodeCount()) * kMeshPorts;
     portClaimCounts_.assign(flat_ports, 0);
-    if (mesh_.nodeCount() <= 256) {
-        const size_t pairs =
-            static_cast<size_t>(mesh_.nodeCount()) *
-            static_cast<size_t>(mesh_.nodeCount());
-        unicastProgCache_.resize(pairs);
-        unicastProgValid_.assign(pairs, 0);
-    }
 }
 
 bool
@@ -163,23 +156,6 @@ PhastlaneNetwork::buildProgram(NodeId from, const OpticalPacket &pkt)
             std::span<const NodeId>(pkt.taps).subspan(pkt.tapCursor);
         return buildMulticastProgram(mesh_, from, unserved,
                                      params_.maxHopsPerCycle);
-    }
-    // A unicast program is a pure function of (launch router,
-    // destination): memoize it. Retransmissions and later packets on
-    // the same pair skip the XY route walk, which dominated the
-    // launch path. The table is n^2 programs, so it is only kept for
-    // small meshes; larger ones fall back to the direct walk.
-    if (!unicastProgCache_.empty()) {
-        const size_t key =
-            static_cast<size_t>(from) *
-                static_cast<size_t>(mesh_.nodeCount()) +
-            static_cast<size_t>(pkt.finalDst);
-        if (!unicastProgValid_[key]) {
-            unicastProgCache_[key] = buildUnicastProgram(
-                mesh_, from, pkt.finalDst, params_.maxHopsPerCycle);
-            unicastProgValid_[key] = 1;
-        }
-        return unicastProgCache_[key];
     }
     return buildUnicastProgram(mesh_, from, pkt.finalDst,
                                params_.maxHopsPerCycle);

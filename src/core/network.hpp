@@ -325,12 +325,6 @@ class PhastlaneNetwork : public Network
     BitPlaneMesh bitMesh_;
     std::vector<uint64_t> portClaimCounts_; ///< cumulative
 
-    /** Lazily-filled (launch router, destination) -> unicast control
-     *  program memo (empty on meshes too large for an n^2 table); see
-     *  buildProgram(). */
-    mutable std::vector<ControlProgram> unicastProgCache_;
-    mutable std::vector<uint8_t> unicastProgValid_;
-
     /** Launches whose drop-signal window passed clean: the holder
      *  frees the slot next cycle. Releases draw no randomness, so
      *  resolving them before the drops preserves the RNG stream. */

@@ -2,12 +2,17 @@
  * @file
  * Predecoded control-bit tests (paper Section 2.1 / Fig 3): group
  * encoding, frequency translation, route-program construction, and
- * broadcast splitting.
+ * broadcast splitting; and a differential campaign of the closed-form
+ * program builders against the per-router route walk they replaced.
  */
 
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/control.hpp"
 
@@ -220,8 +225,9 @@ TEST_P(BroadcastCoverage, EveryNodeCoveredExactlyOnce)
     EXPECT_EQ(covered.size(), 63u);
     EXPECT_EQ(covered.count(src), 0u);
     for (NodeId n = 0; n < 64; ++n) {
-        if (n != src)
+        if (n != src) {
             EXPECT_EQ(covered.count(n), 1u) << "node " << n;
+        }
     }
 }
 
@@ -280,6 +286,293 @@ TEST(Broadcast, WorksOnSmallMeshes)
         EXPECT_EQ(covered.size(), 3u);
         EXPECT_EQ(covered.count(src), 0u);
     }
+}
+
+/**
+ * The reference: the incremental route walk that built every program
+ * before the closed form, kept verbatim. It steps router by router
+ * along the XY route and derives each group from the directions into
+ * and out of that router.
+ */
+ControlProgram
+referenceProgram(const MeshTopology &mesh, NodeId from, NodeId dst,
+                 std::span<const NodeId> taps, int max_hops)
+{
+    PL_ASSERT(from != dst, "empty route");
+    PL_ASSERT(max_hops >= 1, "hop limit must be at least 1");
+
+    const Coord d = mesh.coordOf(dst);
+    // Next XY-route step out of @p c (X first, then Y); must not be
+    // called at the destination.
+    const auto stepDir = [&d](const Coord &c) {
+        if (c.x < d.x)
+            return Port::East;
+        if (c.x > d.x)
+            return Port::West;
+        return c.y < d.y ? Port::North : Port::South;
+    };
+
+    const size_t route_hops =
+        static_cast<size_t>(mesh.hopDistance(from, dst));
+    const bool truncated =
+        route_hops > static_cast<size_t>(ControlProgram::kMaxGroups);
+    const int spacing =
+        truncated ? std::min(max_hops, ControlProgram::kMaxGroups - 1)
+                  : max_hops;
+
+    ControlProgram prog;
+    size_t tap_idx = 0;
+    Coord c = mesh.coordOf(from);
+    for (int i = 0; !(c == d); ++i) {
+        const Port dir = stepDir(c); // direction into node i
+        switch (dir) {
+          case Port::East: c.x += 1; break;
+          case Port::West: c.x -= 1; break;
+          case Port::North: c.y += 1; break;
+          default: c.y -= 1; break;
+        }
+        const NodeId node = mesh.nodeAt(c);
+        ControlGroup g;
+        if (!(c == d)) {
+            // Pass-through (possibly also an interim stop): the
+            // direction bits select the output port and arm the
+            // return path.
+            g.setTurn(turnBetween(opposite(dir), stepDir(c)));
+            // Interim node every spacing routers.
+            if ((i + 1) % spacing == 0)
+                g.local = true;
+        } else {
+            g.local = true;
+        }
+        if (tap_idx < taps.size() && taps[tap_idx] == node) {
+            g.multicast = true;
+            ++tap_idx;
+        }
+        prog.append(g);
+        if (truncated && i + 1 == ControlProgram::kMaxGroups)
+            break;
+    }
+    PL_ASSERT(truncated || tap_idx == taps.size(),
+              "multicast tap not on the dimension-order route");
+    return prog;
+}
+
+/** Faults seeded into the closed-form programs: a comparison that
+ *  cannot see them would pass anything. */
+enum class Mutation {
+    None,
+    TurnOffByOne,    ///< the X-to-Y turn lands one group late
+    SpacingOffByOne, ///< interim stops every spacing + 1 routers
+    MaskOffByOne,    ///< the multicast mask shifted one group early
+};
+
+/** @p p with mutation @p m applied; @p spacing is its interim stop
+ *  spacing. */
+ControlProgram
+mutated(const ControlProgram &p, Mutation m, int spacing)
+{
+    if (m == Mutation::None)
+        return p;
+    std::vector<ControlGroup> g;
+    for (size_t i = 0; i < p.remaining(); ++i)
+        g.push_back(p.group(i));
+    for (size_t i = 0; i < g.size(); ++i) {
+        switch (m) {
+          case Mutation::None:
+            break;
+          case Mutation::TurnOffByOne:
+            if (i + 1 < g.size() && (g[i].left || g[i].right) &&
+                g[i + 1].straight) {
+                g[i + 1].setTurn(g[i].turn());
+                g[i].setTurn(Turn::Straight);
+                ++i;
+            }
+            break;
+          case Mutation::SpacingOffByOne:
+            if (g[i].hasDirection()) {
+                g[i].local =
+                    (i + 1) % static_cast<size_t>(spacing + 1) == 0;
+            }
+            break;
+          case Mutation::MaskOffByOne:
+            g[i].multicast = i + 1 < g.size() && g[i + 1].multicast;
+            break;
+        }
+    }
+    ControlProgram out;
+    for (const ControlGroup &x : g)
+        out.append(x);
+    return out;
+}
+
+/**
+ * Compare @p got with @p want group by group through translate(),
+ * checking remaining() at every step; a description of the first
+ * difference, or nullopt.
+ */
+std::optional<std::string>
+programMismatch(const ControlProgram &got, const ControlProgram &want)
+{
+    const auto where = [&](const std::string &what, size_t step) {
+        return what + " after " + std::to_string(step) +
+               " groups: " + got.toString() + " vs " + want.toString();
+    };
+    ControlProgram g = got;
+    ControlProgram w = want;
+    for (size_t step = 0;; ++step) {
+        if (g.remaining() != w.remaining()) {
+            return where("remaining() " + std::to_string(g.remaining()) +
+                             " vs " + std::to_string(w.remaining()),
+                         step);
+        }
+        if (w.empty())
+            return std::nullopt;
+        if (!(g.front() == w.front()))
+            return where("different group", step);
+        g.translate();
+        w.translate();
+    }
+}
+
+int
+stopSpacing(const MeshTopology &mesh, NodeId from, NodeId dst,
+            int max_hops)
+{
+    return mesh.hopDistance(from, dst) > ControlProgram::kMaxGroups
+               ? std::min(max_hops, ControlProgram::kMaxGroups - 1)
+               : max_hops;
+}
+
+/** The first mismatch between the unicast builder (mutated by @p m)
+ *  and the reference over every (from, dst) pair and hop limit. */
+std::optional<std::string>
+unicastCampaign(const MeshTopology &mesh, Mutation m)
+{
+    for (NodeId from = 0; from < mesh.nodeCount(); ++from) {
+        for (NodeId dst = 0; dst < mesh.nodeCount(); ++dst) {
+            if (from == dst)
+                continue;
+            for (int hops = 1; hops <= ControlProgram::kMaxGroups;
+                 ++hops) {
+                const auto bad = programMismatch(
+                    mutated(buildUnicastProgram(mesh, from, dst, hops),
+                            m, stopSpacing(mesh, from, dst, hops)),
+                    referenceProgram(mesh, from, dst, {}, hops));
+                if (bad) {
+                    std::ostringstream os;
+                    os << mesh.width() << "x" << mesh.height() << " "
+                       << from << "->" << dst << " hops " << hops
+                       << ": " << *bad;
+                    return os.str();
+                }
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+/**
+ * The first mismatch between the multicast builder (mutated by @p m)
+ * and the reference for every splitBroadcast() branch, launched from
+ * every router on its route (the source, an interim, a blocking or
+ * diverting router, a drop holder) with the taps after that router.
+ */
+std::optional<std::string>
+broadcastCampaign(const MeshTopology &mesh, Mutation m)
+{
+    std::vector<int> pos(static_cast<size_t>(mesh.nodeCount()), -1);
+    for (NodeId src = 0; src < mesh.nodeCount(); ++src) {
+        for (const MulticastBranch &b : splitBroadcast(mesh, src)) {
+            const NodeId dst = b.finalDst();
+            const std::vector<NodeId> path = mesh.xyPath(src, dst);
+            std::fill(pos.begin(), pos.end(), -1);
+            for (size_t i = 0; i < path.size(); ++i)
+                pos[static_cast<size_t>(path[i])] = static_cast<int>(i);
+            // Launch at path index `at` (-1 = the source).
+            for (int at = -1; at + 1 < static_cast<int>(path.size());
+                 ++at) {
+                const NodeId from =
+                    at < 0 ? src : path[static_cast<size_t>(at)];
+                size_t first = 0;
+                while (pos[static_cast<size_t>(b.taps[first])] <= at)
+                    ++first;
+                const std::span<const NodeId> unserved =
+                    std::span<const NodeId>(b.taps).subspan(first);
+                for (int hops = 1; hops <= ControlProgram::kMaxGroups;
+                     ++hops) {
+                    const auto bad = programMismatch(
+                        mutated(buildMulticastProgram(mesh, from,
+                                                      unserved, hops),
+                                m, stopSpacing(mesh, from, dst, hops)),
+                        referenceProgram(mesh, from, dst, unserved,
+                                         hops));
+                    if (bad) {
+                        std::ostringstream os;
+                        os << mesh.width() << "x" << mesh.height()
+                           << " src " << src << " branch to " << dst
+                           << " from " << from << " with "
+                           << unserved.size() << " taps, hops " << hops
+                           << ": " << *bad;
+                        return os.str();
+                    }
+                }
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+/** 13x9 and 64x2 are not square; 16x16 and 64x2 have routes past
+ *  the 14-group budget. */
+const std::vector<MeshTopology> &
+campaignMeshes()
+{
+    static const std::vector<MeshTopology> meshes = {
+        {2, 2}, {8, 8}, {13, 9}, {16, 16}, {64, 2}};
+    return meshes;
+}
+
+TEST(ControlDifferential, UnicastMatchesRouteWalk)
+{
+    for (const MeshTopology &mesh : campaignMeshes()) {
+        const auto bad = unicastCampaign(mesh, Mutation::None);
+        EXPECT_FALSE(bad.has_value()) << *bad;
+    }
+}
+
+TEST(ControlDifferential, BroadcastBranchesMatchRouteWalk)
+{
+    for (const MeshTopology &mesh : campaignMeshes()) {
+        const auto bad = broadcastCampaign(mesh, Mutation::None);
+        EXPECT_FALSE(bad.has_value()) << *bad;
+    }
+}
+
+TEST(ControlDifferential, SeededMutationsAreCaught)
+{
+    const MeshTopology mesh(8, 8);
+    for (Mutation m :
+         {Mutation::TurnOffByOne, Mutation::SpacingOffByOne}) {
+        EXPECT_TRUE(unicastCampaign(mesh, m).has_value())
+            << "mutation " << static_cast<int>(m) << " went unnoticed";
+    }
+    for (Mutation m : {Mutation::TurnOffByOne, Mutation::SpacingOffByOne,
+                       Mutation::MaskOffByOne}) {
+        EXPECT_TRUE(broadcastCampaign(mesh, m).has_value())
+            << "mutation " << static_cast<int>(m) << " went unnoticed";
+    }
+}
+
+TEST(ControlDifferentialDeathTest, TapsOffTheRouteTailAreRejected)
+{
+    // A tap list with a gap is not the tail of the route: the O(1)
+    // check on the first tap's position must refuse it.
+    const MeshTopology mesh(8, 8);
+    const std::vector<NodeId> gapped = {mesh.nodeAt({3, 2}),
+                                        mesh.nodeAt({3, 4})};
+    EXPECT_DEATH(buildMulticastProgram(mesh, mesh.nodeAt({0, 0}),
+                                       gapped, 4),
+                 "tail of the dimension-order route");
 }
 
 } // namespace
