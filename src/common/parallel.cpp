@@ -1,7 +1,12 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace phastlane {
 
@@ -31,159 +36,48 @@ derivePointSeed(uint64_t base, uint64_t index)
     return z ^ (z >> 31);
 }
 
-ThreadPool::ThreadPool(int threads)
-    : workerCount_(std::max(1, threads > 0 ? threads
-                                           : resolveThreadCount(0)))
-{
-    queues_.reserve(static_cast<size_t>(workerCount_));
-    for (int i = 0; i < workerCount_; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    threads_.reserve(static_cast<size_t>(workerCount_) - 1);
-    for (int i = 1; i < workerCount_; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stopping_ = true;
-    }
-    wake_.notify_all();
-    for (auto &t : threads_)
-        t.join();
-}
-
-bool
-ThreadPool::popOrSteal(int self, Chunk &out)
-{
-    // Own queue first (front: cache-friendly sequential order) ...
-    {
-        auto &q = *queues_[static_cast<size_t>(self)];
-        std::lock_guard<std::mutex> lock(q.mu);
-        if (!q.chunks.empty()) {
-            out = q.chunks.front();
-            q.chunks.pop_front();
-            return true;
-        }
-    }
-    // ... then steal from the back of the other workers' queues.
-    for (int d = 1; d < workerCount_; ++d) {
-        const int victim = (self + d) % workerCount_;
-        auto &q = *queues_[static_cast<size_t>(victim)];
-        std::lock_guard<std::mutex> lock(q.mu);
-        if (!q.chunks.empty()) {
-            out = q.chunks.back();
-            q.chunks.pop_back();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::runChunks(int self)
-{
-    Chunk c;
-    while (popOrSteal(self, c)) {
-        for (size_t i = c.begin; i < c.end; ++i) {
-            try {
-                (*body_)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errorMu_);
-                if (!firstError_)
-                    firstError_ = std::current_exception();
-            }
-        }
-        if (remaining_.fetch_sub(c.end - c.begin,
-                                 std::memory_order_acq_rel) ==
-            c.end - c.begin) {
-            std::lock_guard<std::mutex> lock(mu_);
-            done_.notify_all();
-        }
-    }
-}
-
-void
-ThreadPool::workerLoop(int self)
-{
-    uint64_t seen = 0;
-    while (true) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            wake_.wait(lock, [&] {
-                return stopping_ || generation_ != seen;
-            });
-            if (stopping_)
-                return;
-            seen = generation_;
-        }
-        runChunks(self);
-    }
-}
-
-void
-ThreadPool::run(size_t n, const std::function<void(size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (workerCount_ == 1 || n == 1) {
-        for (size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
-    // Chunk small enough that stealing can balance uneven task costs
-    // (simulation points vary wildly near saturation), large enough to
-    // amortize queue traffic.
-    const size_t per =
-        std::max<size_t>(1, n / (4 * static_cast<size_t>(
-                                         workerCount_)));
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        body_ = &body;
-        firstError_ = nullptr;
-        remaining_.store(n, std::memory_order_relaxed);
-        size_t begin = 0;
-        int w = 0;
-        while (begin < n) {
-            const size_t end = std::min(n, begin + per);
-            auto &q = *queues_[static_cast<size_t>(w)];
-            std::lock_guard<std::mutex> qlock(q.mu);
-            q.chunks.push_back(Chunk{begin, end});
-            begin = end;
-            w = (w + 1) % workerCount_;
-        }
-        ++generation_;
-    }
-    wake_.notify_all();
-
-    // The caller works too.
-    runChunks(0);
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        done_.wait(lock, [&] {
-            return remaining_.load(std::memory_order_acquire) == 0;
-        });
-        body_ = nullptr;
-    }
-    if (firstError_)
-        std::rethrow_exception(firstError_);
-}
-
 void
 parallelFor(size_t n, const std::function<void(size_t)> &body,
             int threads)
 {
-    const int t = resolveThreadCount(threads);
-    if (t <= 1 || n <= 1) {
+    const size_t workers = std::min(
+        static_cast<size_t>(resolveThreadCount(threads)), n);
+    if (workers <= 1) {
         for (size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-    ThreadPool pool(static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(t), n)));
-    pool.run(n, body);
+
+    // Self-scheduling: every worker claims the next index until none
+    // is left. Simulation points vary wildly in cost near saturation,
+    // so fixed chunks would leave the last one running alone.
+    std::atomic<size_t> next{0};
+    std::mutex error_mu;
+    std::exception_ptr first_error;
+    const auto work = [&] {
+        while (true) {
+            const size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                body(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mu);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    for (size_t w = 1; w < workers; ++w)
+        helpers.emplace_back(work);
+    work(); // the caller works too
+    for (auto &h : helpers)
+        h.join();
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace phastlane

@@ -1,8 +1,8 @@
 /**
  * @file
- * Parallel simulation dispatch: a small work-stealing thread pool and
- * a parallelFor helper used to spread independent simulation points
- * (sweep rates, experiment cells, benchmark grids) across cores.
+ * Parallel simulation dispatch: a self-scheduling parallelFor used to
+ * spread independent simulation points (sweep rates, experiment cells,
+ * benchmark grids) across cores.
  *
  * Determinism contract: every task owns its slot in a pre-sized result
  * vector and its own network/driver/RNG, so results are bit-identical
@@ -18,80 +18,11 @@
 #ifndef PHASTLANE_COMMON_PARALLEL_HPP
 #define PHASTLANE_COMMON_PARALLEL_HPP
 
-#include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace phastlane {
-
-/**
- * A work-stealing thread pool for index-space parallelism.
- *
- * run(n, body) partitions [0, n) into chunks, deals them round-robin
- * to per-worker deques, and lets idle workers steal from the back of
- * busy ones. The calling thread participates as worker 0, so a pool
- * of size T uses T-1 background threads.
- */
-class ThreadPool
-{
-  public:
-    /** @param threads Total workers including the caller; <= 0 picks
-     *  resolveThreadCount(0). */
-    explicit ThreadPool(int threads = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Total worker count (background threads + the caller). */
-    int size() const { return workerCount_; }
-
-    /**
-     * Invoke body(i) exactly once for every i in [0, n), across the
-     * pool, returning when all indices completed. Exceptions thrown
-     * by @p body are captured and the first one rethrown here. Must
-     * not be called concurrently from multiple threads.
-     */
-    void run(size_t n, const std::function<void(size_t)> &body);
-
-  private:
-    /** A contiguous slice of the index space. */
-    struct Chunk {
-        size_t begin = 0;
-        size_t end = 0;
-    };
-
-    /** One worker's deque; owner pops the front, thieves the back. */
-    struct WorkerQueue {
-        std::mutex mu;
-        std::deque<Chunk> chunks;
-    };
-
-    void workerLoop(int self);
-    bool popOrSteal(int self, Chunk &out);
-    void runChunks(int self);
-
-    int workerCount_;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> threads_;
-
-    std::mutex mu_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    const std::function<void(size_t)> *body_ = nullptr;
-    std::atomic<size_t> remaining_{0};
-    uint64_t generation_ = 0;
-    bool stopping_ = false;
-
-    std::mutex errorMu_;
-    std::exception_ptr firstError_;
-};
 
 /**
  * Resolve an effective simulation thread count: @p requested when
@@ -102,9 +33,13 @@ class ThreadPool
 int resolveThreadCount(int requested);
 
 /**
- * One-shot parallel loop: body(i) for i in [0, n) over @p threads
- * workers (resolved via resolveThreadCount). threads == 1 (or n <= 1)
- * runs inline with no thread machinery at all.
+ * One-shot parallel loop: body(i) exactly once for every i in [0, n)
+ * over min(n, @p threads) workers (resolved via resolveThreadCount),
+ * the caller among them. Workers take the next unclaimed index from
+ * a shared counter, so a slow index never holds others back behind
+ * it. The first exception thrown by @p body is rethrown here; on
+ * more than one worker, only after every other index has run.
+ * threads == 1 (or n <= 1) runs inline with no thread machinery.
  */
 void parallelFor(size_t n, const std::function<void(size_t)> &body,
                  int threads = 0);

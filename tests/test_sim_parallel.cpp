@@ -1,14 +1,18 @@
 /**
  * @file
- * Tests of the parallel simulation harness (common/parallel.hpp): the
- * work-stealing pool itself, and the determinism contract -- sweeps
- * and experiments produce bit-identical results at any thread count.
+ * Tests of the parallel simulation harness (common/parallel.hpp):
+ * parallelFor's scheduling and exception contract, and the determinism
+ * contract -- sweeps and experiments produce bit-identical results at
+ * any thread count.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -19,44 +23,85 @@
 namespace phastlane::sim {
 namespace {
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    constexpr size_t kN = 1000;
-    std::vector<std::atomic<int>> hits(kN);
-    pool.run(kN, [&](size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (size_t i = 0; i < kN; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, ReusableAcrossRuns)
-{
-    ThreadPool pool(3);
-    for (int round = 0; round < 5; ++round) {
-        std::atomic<size_t> sum{0};
-        pool.run(100, [&](size_t i) {
-            sum.fetch_add(i + 1, std::memory_order_relaxed);
-        });
-        EXPECT_EQ(sum.load(), 5050u);
+    // n < threads included: surplus workers must not run anything.
+    for (int threads : {1, 2, 4, 8}) {
+        for (size_t n : {size_t{1}, size_t{3}, size_t{1000}}) {
+            std::vector<std::atomic<int>> hits(n);
+            parallelFor(
+                n,
+                [&](size_t i) {
+                    hits[i].fetch_add(1, std::memory_order_relaxed);
+                },
+                threads);
+            for (size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "index " << i << " of " << n << " at "
+                    << threads << " threads";
+            }
+        }
     }
 }
 
-TEST(ThreadPool, PropagatesTheFirstException)
+TEST(ParallelFor, PropagatesTheFirstException)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(pool.run(16,
-                          [&](size_t i) {
-                              if (i == 7)
-                                  throw std::runtime_error("boom");
-                          }),
-                 std::runtime_error);
-    // The pool survives a throwing run.
-    std::atomic<int> ran{0};
-    pool.run(8, [&](size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 8);
+    for (int threads : {1, 2, 4, 8}) {
+        for (size_t n : {size_t{2}, size_t{16}}) {
+            // Indices 1 and n - 1 throw; inline, index 1 is first.
+            std::atomic<int> ran{0};
+            std::string what;
+            try {
+                parallelFor(
+                    n,
+                    [&](size_t i) {
+                        ++ran;
+                        if (i == 1 || i == n - 1)
+                            throw std::runtime_error(
+                                "boom " + std::to_string(i));
+                    },
+                    threads);
+            } catch (const std::runtime_error &e) {
+                what = e.what();
+            }
+            if (threads == 1) {
+                EXPECT_EQ(what, "boom 1");
+                continue;
+            }
+            EXPECT_TRUE(what == "boom 1" ||
+                        what == "boom " + std::to_string(n - 1))
+                << what << " at " << threads << " threads";
+            // Workers finish the other indices before rethrowing.
+            EXPECT_EQ(ran.load(), static_cast<int>(n))
+                << threads << " threads";
+        }
+    }
+}
+
+TEST(ParallelFor, SlowIndexDoesNotHoldOthersBack)
+{
+    // Index 0 waits (bounded) for every other index. Dealing indices
+    // in fixed chunks would strand index 1 behind it in the same
+    // chunk; self-scheduling lets the second worker run them all.
+    constexpr size_t kN = 16;
+    std::atomic<size_t> others{0};
+    bool saw_all = false;
+    parallelFor(
+        kN,
+        [&](size_t i) {
+            if (i != 0) {
+                ++others;
+                return;
+            }
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(10);
+            while (others.load() < kN - 1 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            saw_all = others.load() == kN - 1;
+        },
+        2);
+    EXPECT_TRUE(saw_all);
 }
 
 TEST(ParallelFor, SerialAndZeroSizedEdgeCases)
