@@ -523,17 +523,18 @@ runSplashGolden(const std::string &bench, int buffers)
     return observeGolden(net, res.completionCycles, h);
 }
 
-/** Open-loop uniform unicast plus broadcasts near Optical4's
- *  saturation point, under the policy @p tweak selects. */
+/** Open-loop uniform unicast plus 10% broadcasts at offered load
+ *  @p rate (0.14 is near Optical4's saturation point), under the
+ *  policy @p tweak selects. */
 template <typename Tweak>
 OpticalGolden
-runContendedGolden(const Tweak &tweak)
+runContendedGolden(double rate, const Tweak &tweak)
 {
     PhastlaneParams p;
     tweak(p);
     traffic::SyntheticConfig cfg;
     cfg.pattern = traffic::Pattern::UniformRandom;
-    cfg.injectionRate = 0.14;
+    cfg.injectionRate = rate;
     cfg.broadcastFraction = 0.10;
     cfg.warmupCycles = 200;
     cfg.measureCycles = 1200;
@@ -616,7 +617,7 @@ TEST(OpticalGolden, OceanOptical4B64)
 TEST(OpticalGolden, UniformBroadcastOldestFirst)
 {
     const OpticalGolden got =
-        runContendedGolden([](PhastlaneParams &p) {
+        runContendedGolden(0.14, [](PhastlaneParams &p) {
             p.bufferArbitration = BufferArbitration::OldestFirst;
         });
     EXPECT_EQ(got,
@@ -631,7 +632,7 @@ TEST(OpticalGolden, UniformBroadcastOldestFirst)
 TEST(OpticalGolden, UniformBroadcastTokenBucket)
 {
     const OpticalGolden got =
-        runContendedGolden([](PhastlaneParams &p) {
+        runContendedGolden(0.14, [](PhastlaneParams &p) {
             p.admission = AdmissionPolicy::TokenBucket;
             p.admissionBurst = 2;
             p.admissionPeriod = 3;
@@ -648,7 +649,7 @@ TEST(OpticalGolden, UniformBroadcastTokenBucket)
 TEST(OpticalGolden, UniformBroadcastExponentialBackoff)
 {
     const OpticalGolden got =
-        runContendedGolden([](PhastlaneParams &p) {
+        runContendedGolden(0.14, [](PhastlaneParams &p) {
             p.routerBufferEntries = 2;
             p.exponentialBackoff = true;
             p.backoffBase = 1;
@@ -665,7 +666,7 @@ TEST(OpticalGolden, UniformBroadcastExponentialBackoff)
 TEST(OpticalGolden, UniformBroadcastDropperIdCorrupt)
 {
     const OpticalGolden got =
-        runContendedGolden([](PhastlaneParams &p) {
+        runContendedGolden(0.14, [](PhastlaneParams &p) {
             p.routerBufferEntries = 2;
             p.faults.dropperIdCorruptRate = 0.3;
             p.faults.faultSeed = 5;
@@ -677,6 +678,38 @@ TEST(OpticalGolden, UniformBroadcastDropperIdCorrupt)
                              112435, 1524, 27, 11386909768222980670ull,
                              2473447780825591605ull,
                              8898060825443080681ull}));
+}
+
+// At low load most routers and NICs are idle in most cycles, so these
+// pin the cycles step() skips as well as the ones it works in.
+TEST(OpticalGolden, LowLoadUniformBroadcast)
+{
+    const OpticalGolden got =
+        runContendedGolden(0.01, [](PhastlaneParams &) {});
+    EXPECT_EQ(got,
+              (OpticalGolden{4609, 9797, 4609, 6804, 2283, 4609, 0, 0,
+                             0, 89792, 0, 0, 0, 0, 0, 0, 0, 0, 0, 266,
+                             2017, 4609, 1403, 13,
+                             2640750825532304969ull,
+                             17532090027205687395ull,
+                             15155698986978566127ull}));
+}
+
+TEST(OpticalGolden, LowLoadUniformBroadcastTokenBucket)
+{
+    const OpticalGolden got =
+        runContendedGolden(0.01, [](PhastlaneParams &p) {
+            p.admission = AdmissionPolicy::TokenBucket;
+            p.admissionBurst = 2;
+            p.admissionPeriod = 3;
+        });
+    EXPECT_EQ(got,
+              (OpticalGolden{4613, 9793, 4613, 6804, 2287, 4613, 0, 0,
+                             0, 90496, 0, 0, 0, 0, 0, 0, 0, 0, 0, 266,
+                             2021, 4613, 1414, 28,
+                             355141843369734781ull,
+                             17532090027205687395ull,
+                             3498658549834852122ull}));
 }
 
 } // namespace
