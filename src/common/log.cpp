@@ -38,6 +38,15 @@ emit(const char *tag, const char *fmt, va_list ap)
 } // namespace
 
 void
+appendF(std::string &out, const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    out += vformat(fmt, ap);
+    va_end(ap);
+}
+
+void
 setLogLevel(LogLevel level)
 {
     gLevel = level;

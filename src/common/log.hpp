@@ -47,6 +47,10 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** Append a printf-formatted string of any length to @p out. */
+void appendF(std::string &out, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 namespace detail {
 
 /** Format a printf-style message into a std::string ("" when empty). */

@@ -1,7 +1,6 @@
 #include "obs/heatmap.hpp"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "common/log.hpp"
@@ -9,17 +8,6 @@
 namespace phastlane::obs {
 
 namespace {
-
-void
-appendF(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 void
 writeFile(const std::string &path, const std::string &text)

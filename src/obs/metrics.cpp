@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "common/log.hpp"
@@ -143,17 +142,6 @@ appendEscaped(std::string &out, const std::string &s)
             out.push_back('\\');
         out.push_back(c);
     }
-}
-
-void
-appendF(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "common/log.hpp"
@@ -48,17 +47,6 @@ TraceRing::snapshot() const
 }
 
 namespace {
-
-void
-appendF(std::string &out, const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 /** Common prefix of one trace_event object. */
 void
