@@ -7,23 +7,6 @@
 
 namespace phastlane::core {
 
-bool
-ControlGroup::hasDirection() const
-{
-    return (straight ? 1 : 0) + (left ? 1 : 0) + (right ? 1 : 0) == 1;
-}
-
-Turn
-ControlGroup::turn() const
-{
-    PL_ASSERT(hasDirection(), "control group has no unique direction");
-    if (straight)
-        return Turn::Straight;
-    if (left)
-        return Turn::Left;
-    return Turn::Right;
-}
-
 void
 ControlGroup::setTurn(Turn t)
 {

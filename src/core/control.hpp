@@ -46,10 +46,21 @@ struct ControlGroup {
     bool multicast = false;
 
     /** True when exactly one direction bit is set. */
-    bool hasDirection() const;
+    bool hasDirection() const
+    {
+        return (straight ? 1 : 0) + (left ? 1 : 0) + (right ? 1 : 0) == 1;
+    }
 
     /** The encoded turn; requires hasDirection(). */
-    Turn turn() const;
+    Turn turn() const
+    {
+        PL_ASSERT(hasDirection(), "control group has no unique direction");
+        if (straight)
+            return Turn::Straight;
+        if (left)
+            return Turn::Left;
+        return Turn::Right;
+    }
 
     /** Set the direction bit for @p t (clearing the others). */
     void setTurn(Turn t);
