@@ -32,7 +32,6 @@
 #include "sim/configs.hpp"
 #include "sim/fault_sweep.hpp"
 #include "sim/metrics.hpp"
-#include "sim/multisim.hpp"
 #include "sim/replay.hpp"
 #include "sim/report.hpp"
 #include "sim/sweep.hpp"
@@ -203,33 +202,6 @@ class ReliableNetwork : public Network
 };
 
 /**
- * One replicated synthetic instance under --batch: its own network
- * (seed offset into the replica index) and step-wise SyntheticDriver
- * (DESIGN.md §13).
- */
-class BatchSyntheticJob final : public sim::MultiSim::Job
-{
-  public:
-    BatchSyntheticJob(std::unique_ptr<core::PhastlaneNetwork> net,
-                      const traffic::SyntheticConfig &sc)
-        : net_(std::move(net)), driver_(*net_, sc)
-    {
-        driver_.begin();
-    }
-
-    core::PhastlaneNetwork &network() override { return *net_; }
-    bool done() override { return driver_.done(); }
-    void preStep() override { driver_.preStep(); }
-    void postStep() override { driver_.postStep(); }
-
-    traffic::SyntheticResult finish() { return driver_.finish(); }
-
-  private:
-    std::unique_ptr<core::PhastlaneNetwork> net_;
-    traffic::SyntheticDriver driver_;
-};
-
-/**
  * --wavefront selects the contention engine (DESIGN.md §11): bitplane
  * (word-parallel FCFS, default), fcfs (the scalar reference), or
  * global (the eviction-priority ablation). --mesh WxH resizes the
@@ -291,8 +263,8 @@ knownFlags()
         "heatmap-csv", "heatmap-interval", "check",
         "reliable",    "fault-sweep-out", "fault-field",
         "fault-max",   "fault-steps",     "threads",
-        "wavefront",   "mesh",            "batch",
-        "fairness-csv", "max-cycles",
+        "wavefront",   "mesh",            "fairness-csv",
+        "max-cycles",
     };
     for (const auto &f : sim::faultFlagNames())
         flags.push_back(f);
@@ -342,16 +314,6 @@ main(int argc, char **argv)
             "ablation)\n"
             "    --mesh WxH        override the mesh dimensions "
             "(e.g. 32x32, 9x7)\n"
-            "    --batch B         synthetic workloads: run B "
-            "instances with seeds\n"
-            "            seed..seed+B-1 in one lockstep gang "
-            "(DESIGN.md §13) and print\n"
-            "            per-seed plus aggregate results. "
-            "Incompatible with --check,\n"
-            "            --reliable, observability sinks, and "
-            "--wavefront global.\n"
-            "            In fault-sweep mode, sets the sweep's gang "
-            "size.\n"
             "  checking: --check (run under the invariant checker "
             "and, where supported,\n"
             "            in lockstep with the reference oracle; "
@@ -431,7 +393,6 @@ main(int argc, char **argv)
             static_cast<Cycle>(args.getInt("measure", 2000));
         fs.seed = seed;
         fs.threads = static_cast<int>(args.getInt("threads", 0));
-        fs.batch = static_cast<int>(args.getInt("batch", 0));
         fs.reliable = args.getBool("reliable", true);
         const auto points = sim::runFaultSweep(fs);
         for (const auto &p : points) {
@@ -634,70 +595,6 @@ main(int argc, char **argv)
         sc.measureCycles =
             static_cast<Cycle>(args.getInt("measure", 5000));
         sc.seed = seed;
-        // --batch B: replicate the run B times with seeds
-        // seed..seed+B-1 and advance every replica in lockstep
-        // through the batched engine (DESIGN.md §13). Each replica's
-        // results are bit-identical to running it alone.
-        const int batch =
-            static_cast<int>(args.getInt("batch", 1));
-        if (batch > 1) {
-            if (checked || reliable)
-                panic("--batch is incompatible with --check and "
-                      "--reliable");
-            if (tracer || recorder)
-                panic("--batch is incompatible with "
-                      "--trace/--metrics-out/--heatmap-csv");
-            auto *pl =
-                dynamic_cast<core::PhastlaneNetwork *>(net.get());
-            if (!pl || !sim::batchable(*pl))
-                panic("--batch requires a batch-eligible optical "
-                      "configuration (no --wavefront global)");
-            if (args.getBool("metrics", false) ||
-                args.getBool("power", false) ||
-                args.getBool("heatmap", false))
-                warn("--batch reports per-seed summaries only; "
-                     "--metrics/--power/--heatmap are skipped");
-            std::vector<std::unique_ptr<BatchSyntheticJob>> jobs;
-            sim::MultiSim ms(batch);
-            for (int i = 0; i < batch; ++i) {
-                core::PhastlaneParams p = pl->params();
-                p.seed = seed + static_cast<uint64_t>(i);
-                traffic::SyntheticConfig si = sc;
-                si.seed = seed + static_cast<uint64_t>(i);
-                jobs.push_back(
-                    std::make_unique<BatchSyntheticJob>(
-                        std::make_unique<core::PhastlaneNetwork>(p),
-                        si));
-                ms.add(*jobs.back());
-            }
-            ms.runAll();
-            double offered = 0.0;
-            double accepted = 0.0;
-            double latency = 0.0;
-            int saturated = 0;
-            for (int i = 0; i < batch; ++i) {
-                const auto r = jobs[i]->finish();
-                std::printf(
-                    "seed %llu: offered %.4f accepted %.4f "
-                    "pkt/node/cycle, avg latency %.1f (p99 %.1f)%s\n",
-                    static_cast<unsigned long long>(
-                        seed + static_cast<uint64_t>(i)),
-                    r.offeredRate, r.acceptedRate, r.avgLatency,
-                    r.p99Latency,
-                    r.saturated ? " [saturated]" : "");
-                offered += r.offeredRate;
-                accepted += r.acceptedRate;
-                latency += r.avgLatency;
-                saturated += r.saturated ? 1 : 0;
-            }
-            std::printf(
-                "batch %d aggregate: offered %.4f accepted %.4f "
-                "pkt/node/cycle, mean latency %.1f "
-                "(%d/%d saturated)\n",
-                batch, offered / batch, accepted / batch,
-                latency / batch, saturated, batch);
-            return 0;
-        }
         traffic::SyntheticDriver driver(drive, sc);
         const auto result = driver.run();
         std::printf("offered %.4f accepted %.4f pkt/node/cycle, avg "

@@ -35,7 +35,7 @@ main(int argc, char **argv)
         std::vector<std::string> flags = {
             "config", "pattern", "max-rate", "steps",
             "warmup", "measure", "seed",     "threads",
-            "check",  "csv",     "metrics-out", "batch",
+            "check",  "csv",     "metrics-out",
         };
         for (const auto &f : faultFlagNames())
             flags.push_back(f);
@@ -60,9 +60,6 @@ main(int argc, char **argv)
         static_cast<Cycle>(args.getInt("measure", 4000));
     sc.seed = static_cast<uint64_t>(args.getInt("seed", 42));
     sc.threads = static_cast<int>(args.getInt("threads", 0));
-    // --batch B gangs the serial sweep's points through the batched
-    // lockstep backend (DESIGN.md §13); 0 = auto, 1 = disable.
-    sc.batch = static_cast<int>(args.getInt("batch", 0));
     const std::string metrics_path =
         args.getString("metrics-out", "");
     sc.collectMetrics = !metrics_path.empty();

@@ -29,7 +29,7 @@ PhastlaneNetwork::PhastlaneNetwork(const PhastlaneParams &params)
       rng_(params.seed),
       returnPaths_(mesh_.nodeCount()),
       bitMesh_(params.meshWidth, params.meshHeight),
-      ownScratch_(mesh_.nodeCount())
+      scratch_(mesh_.nodeCount())
 {
     if (params_.maxHopsPerCycle < 1)
         fatal("maxHopsPerCycle must be at least 1");
@@ -42,6 +42,8 @@ PhastlaneNetwork::PhastlaneNetwork(const PhastlaneParams &params)
         fatal("AgeBoost admission requires admissionAgeThreshold "
               ">= 0");
     nics_.reserve(static_cast<size_t>(mesh_.nodeCount()));
+    nicOccupied_.assign(
+        (static_cast<size_t>(mesh_.nodeCount()) + 63) / 64, 0);
     routers_.reserve(static_cast<size_t>(mesh_.nodeCount()));
     failedRouters_.assign(static_cast<size_t>(mesh_.nodeCount()), 0);
     for (NodeId n = 0; n < mesh_.nodeCount(); ++n) {
@@ -107,9 +109,8 @@ PhastlaneNetwork::inject(const Packet &pkt)
     }
     const size_t nic_before = nic.occupancy();
     nic.accept(pkt, cycle_, nextBranchId_);
-    if (batchNicOcc_ != nullptr)
-        batchNicOcc_[static_cast<size_t>(pkt.src) >> 6] |=
-            uint64_t{1} << (static_cast<size_t>(pkt.src) & 63);
+    nicOccupied_[static_cast<size_t>(pkt.src) >> 6] |=
+        uint64_t{1} << (static_cast<size_t>(pkt.src) & 63);
     ++counters_.messagesAccepted;
     outstanding_ +=
         static_cast<uint64_t>(pkt.deliveryCount(mesh_.nodeCount()));
@@ -176,13 +177,13 @@ PhastlaneNetwork::dropRetryCycle(int attempts)
 bool
 PhastlaneNetwork::claimed(NodeId router, Port out) const
 {
-    return scratch_->claims.test(router, out);
+    return scratch_.claims.test(router, out);
 }
 
 void
 PhastlaneNetwork::setClaim(NodeId router, Port out)
 {
-    scratch_->claims.set(router, out);
+    scratch_.claims.set(router, out);
     ++portClaimCounts_[static_cast<size_t>(router) * kMeshPorts +
                        portIndex(out)];
 }
@@ -248,16 +249,27 @@ PhastlaneNetwork::resolveOutcomes()
 void
 PhastlaneNetwork::nicToLocalQueues()
 {
-    for (NodeId n = 0; n < mesh_.nodeCount(); ++n) {
-        auto &nic = nics_[static_cast<size_t>(n)];
-        auto &rb = routers_[static_cast<size_t>(n)];
-        // The electrical NIC-to-router transfer costs one cycle; the
-        // packet becomes launchable in the next arbitration.
-        for (int i = 0; i < params_.nicTransfersPerCycle &&
-                        !nic.empty() && rb.hasSpace(Port::Local);
-             ++i) {
-            nic.popHeadInto(
-                rb.emplaceEntry(Port::Local, cycle_ + 1).pkt);
+    // The occupancy bits walk the non-empty NICs in ascending node
+    // order. A NIC fills only through inject(), which sets its bit,
+    // and drains only here, so a clear bit is exact.
+    const int transfers = params_.nicTransfersPerCycle;
+    for (size_t w = 0; w < nicOccupied_.size(); ++w) {
+        for (uint64_t bits = nicOccupied_[w]; bits != 0;
+             bits &= bits - 1) {
+            const int b = __builtin_ctzll(bits);
+            const size_t n = w * 64 + static_cast<size_t>(b);
+            auto &nic = nics_[n];
+            auto &rb = routers_[n];
+            // The electrical NIC-to-router transfer costs one cycle;
+            // the packet becomes launchable in the next arbitration.
+            for (int i = 0; i < transfers && !nic.empty() &&
+                            rb.hasSpace(Port::Local);
+                 ++i) {
+                nic.popHeadInto(
+                    rb.emplaceEntry(Port::Local, cycle_ + 1).pkt);
+            }
+            if (nic.empty())
+                nicOccupied_[w] &= ~(uint64_t{1} << b);
         }
     }
 }
@@ -265,59 +277,70 @@ PhastlaneNetwork::nicToLocalQueues()
 void
 PhastlaneNetwork::launchPhase()
 {
-    scratch_->flights.clear();
-    for (NodeId r = 0; r < mesh_.nodeCount(); ++r)
-        launchRouter(r);
-}
+    std::vector<Flight> &flights = scratch_.flights;
+    flights.clear();
+    const size_t n = routers_.size();
+    for (size_t base = 0; base < n; base += 64) {
+        // Before its horizon a router has nothing to launch, and its
+        // priority order follows the cycle, so skipping its
+        // arbitration changes nothing (DESIGN.md §3.9). A tight scan
+        // marks the routers whose horizon has come, then they launch
+        // in ascending order; a launch moves no other router's
+        // horizon.
+        const size_t end = std::min(n, base + 64);
+        uint64_t due = 0;
+        for (size_t i = base; i < end; ++i)
+            due |= static_cast<uint64_t>(routers_[i].horizon() <= cycle_)
+                   << (i - base);
+        for (; due != 0; due &= due - 1) {
+            const NodeId r = static_cast<NodeId>(
+                base + static_cast<size_t>(__builtin_ctzll(due)));
+            auto &rb = routers_[static_cast<size_t>(r)];
+            rb.arbitrate(
+                cycle_,
+                [&](const OpticalPacket &pkt) {
+                    return desiredPort(r, pkt);
+                },
+                scratch_.arb);
+            for (auto &[entry, out, queue] : scratch_.arb.launches) {
+                ++events_.launches;
+                ++events_.bufferReads;
+                ++pl_.launches;
+                if (entry->attempts > 0) {
+                    ++events_.retransmissions;
+                    ++pl_.retransmissions;
+                }
+                if (entry->pkt.firstInjectedAt == kNeverCycle) {
+                    entry->pkt.firstInjectedAt = cycle_;
+                    ++counters_.packetsInjected;
+                }
 
-void
-PhastlaneNetwork::launchRouter(NodeId r)
-{
-    std::vector<Flight> &flights = scratch_->flights;
-    {
-        auto &rb = routers_[static_cast<size_t>(r)];
-        rb.arbitrate(
-            cycle_,
-            [&](const OpticalPacket &pkt) {
-                return desiredPort(r, pkt);
-            },
-            scratch_->arb);
-        for (auto &[entry, out, queue] : scratch_->arb.launches) {
-            ++events_.launches;
-            ++events_.bufferReads;
-            ++pl_.launches;
-            if (entry->attempts > 0) {
-                ++events_.retransmissions;
-                ++pl_.retransmissions;
+                // AgeBoost is recomputed at every launch from
+                // residence age: a retransmission may gain (or, on
+                // re-buffering, lose) the promotion.
+                entry->pkt.boosted =
+                    params_.admission == AdmissionPolicy::AgeBoost &&
+                    cycle_ - entry->enqueuedAt >=
+                        static_cast<Cycle>(params_.admissionAgeThreshold);
+                // Built in place: a Flight carries its inline program
+                // and return path, so a build-then-push would copy it
+                // whole. The packet itself stays in its holder entry.
+                Flight &f = flights.emplace_back();
+                f.pkt = &entry->pkt;
+                f.launchCursor = entry->pkt.tapCursor;
+                f.prog = buildProgram(r, entry->pkt);
+                f.launchRouter = r;
+                f.at = mesh_.neighbor(r, out);
+                PL_ASSERT(f.at != kInvalidNode,
+                          "launch off the mesh edge");
+                f.inPort = opposite(out);
+                f.hops = 1;
+                f.holder = EntryRef{r, queue, entry->pkt.branchId};
+                setClaim(r, out);
+                if (observer_)
+                    observer_->onLaunch(entry->pkt, r, out,
+                                        entry->attempts);
             }
-            if (entry->pkt.firstInjectedAt == kNeverCycle) {
-                entry->pkt.firstInjectedAt = cycle_;
-                ++counters_.packetsInjected;
-            }
-
-            // AgeBoost is recomputed at every launch from residence
-            // age: a retransmission may gain (or, on re-buffering,
-            // lose) the promotion.
-            entry->pkt.boosted =
-                params_.admission == AdmissionPolicy::AgeBoost &&
-                cycle_ - entry->enqueuedAt >=
-                    static_cast<Cycle>(params_.admissionAgeThreshold);
-            // Built in place: a Flight carries its inline program and
-            // return path, so a build-then-push would copy it whole.
-            // The packet itself stays in its holder entry.
-            Flight &f = flights.emplace_back();
-            f.pkt = &entry->pkt;
-            f.launchCursor = entry->pkt.tapCursor;
-            f.prog = buildProgram(r, entry->pkt);
-            f.launchRouter = r;
-            f.at = mesh_.neighbor(r, out);
-            PL_ASSERT(f.at != kInvalidNode, "launch off the mesh edge");
-            f.inPort = opposite(out);
-            f.hops = 1;
-            f.holder = EntryRef{r, queue, entry->pkt.branchId};
-            setClaim(r, out);
-            if (observer_)
-                observer_->onLaunch(entry->pkt, r, out, entry->attempts);
         }
     }
 }
@@ -563,10 +586,10 @@ PhastlaneNetwork::applyPassWin(std::vector<Flight> &flights,
 void
 PhastlaneNetwork::propagateSubstepFcfs(std::vector<Flight> &flights)
 {
-    std::vector<size_t> &active = scratch_->active;
-    std::vector<size_t> &next = scratch_->nextActive;
-    std::vector<PassRequest> &requests = scratch_->requests;
-    std::vector<uint32_t> &order = scratch_->order;
+    std::vector<size_t> &active = scratch_.active;
+    std::vector<size_t> &next = scratch_.nextActive;
+    std::vector<PassRequest> &requests = scratch_.requests;
+    std::vector<uint32_t> &order = scratch_.order;
 
     active.clear();
     for (size_t i = 0; i < flights.size(); ++i)
@@ -657,8 +680,8 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
     // engine; phase B replaces its sort-and-group claim resolution:
     //
     //  - one bit per router, one plane per output port, records which
-    //    (router, port) pairs are requested (scratch_->reqOnce) and which are
-    //    requested more than once (scratch_->reqMulti);
+    //    (router, port) pairs are requested (scratch_.reqOnce) and which are
+    //    requested more than once (scratch_.reqMulti);
     //  - uncontested grants fall out of plane algebra, 64 routers per
     //    word op: win = once & ~multi & ~claimed;
     //  - the sweep visits requested routers via ctz scans of the OR of
@@ -671,9 +694,9 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
     // outcomes, RNG draws, deliveries) is applied in the scalar order;
     // the differential oracle and golden pins hold the two engines to
     // bit-identical results.
-    std::vector<size_t> &active = scratch_->active;
-    std::vector<size_t> &next = scratch_->nextActive;
-    std::vector<PassRequest> &requests = scratch_->requests;
+    std::vector<size_t> &active = scratch_.active;
+    std::vector<size_t> &next = scratch_.nextActive;
+    std::vector<PassRequest> &requests = scratch_.requests;
 
     active.clear();
     for (size_t i = 0; i < flights.size(); ++i)
@@ -692,42 +715,43 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
         // Build the request planes and, per requested port, the
         // arrival-ordered request chain (epoch-tagged so the flat
         // head/tail tables never need clearing).
-        scratch_->reqOnce.clear();
-        scratch_->reqMulti.clear();
-        scratch_->reqNext.resize(requests.size());
-        ++scratch_->reqEpochCur;
+        scratch_.reqOnce.clear();
+        scratch_.reqMulti.clear();
+        scratch_.reqNext.resize(requests.size());
+        ++scratch_.reqEpochCur;
         for (uint32_t ri = 0;
              ri < static_cast<uint32_t>(requests.size()); ++ri) {
             const PassRequest &r = requests[ri];
             const size_t key =
                 static_cast<size_t>(r.router) * kMeshPorts +
                 portIndex(r.out);
-            scratch_->reqNext[ri] = UINT32_MAX;
-            if (scratch_->reqEpoch[key] != scratch_->reqEpochCur) {
-                scratch_->reqEpoch[key] = scratch_->reqEpochCur;
-                scratch_->reqHead[key] = ri;
-                scratch_->reqTail[key] = ri;
-                scratch_->reqOnce.set(r.router, r.out);
+            scratch_.reqNext[ri] = UINT32_MAX;
+            if (scratch_.reqEpoch[key] != scratch_.reqEpochCur) {
+                scratch_.reqEpoch[key] = scratch_.reqEpochCur;
+                scratch_.reqHead[key] = ri;
+                scratch_.reqTail[key] = ri;
+                scratch_.reqOnce.set(r.router, r.out);
             } else {
-                scratch_->reqNext[scratch_->reqTail[key]] = ri;
-                scratch_->reqTail[key] = ri;
-                scratch_->reqMulti.set(r.router, r.out);
+                scratch_.reqNext[scratch_.reqTail[key]] = ri;
+                scratch_.reqTail[key] = ri;
+                scratch_.reqMulti.set(r.router, r.out);
             }
         }
 
         // Uncontested-grant planes: win = once & ~multi & ~claimed.
         for (int pi = 0; pi < kMeshPorts; ++pi) {
             const Port p = portFromIndex(pi);
-            bitplane::andnot2(scratch_->reqOnce.plane(p), scratch_->reqMulti.plane(p),
-                              scratch_->claims.plane(p), scratch_->reqWin.plane(p),
-                              words);
+            bitplane::andnot2(scratch_.reqOnce.plane(p),
+                              scratch_.reqMulti.plane(p),
+                              scratch_.claims.plane(p),
+                              scratch_.reqWin.plane(p), words);
         }
 
         for (int w = 0; w < words; ++w) {
-            uint64_t any = scratch_->reqOnce.plane(Port::North)[w] |
-                           scratch_->reqOnce.plane(Port::East)[w] |
-                           scratch_->reqOnce.plane(Port::South)[w] |
-                           scratch_->reqOnce.plane(Port::West)[w];
+            uint64_t any = scratch_.reqOnce.plane(Port::North)[w] |
+                           scratch_.reqOnce.plane(Port::East)[w] |
+                           scratch_.reqOnce.plane(Port::South)[w] |
+                           scratch_.reqOnce.plane(Port::West)[w];
             while (any != 0) {
                 const int bit = __builtin_ctzll(any);
                 any &= any - 1;
@@ -736,16 +760,16 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                 const uint64_t m = uint64_t{1} << bit;
                 for (int pi = 0; pi < kMeshPorts; ++pi) {
                     const Port out = portFromIndex(pi);
-                    if ((scratch_->reqOnce.plane(out)[w] & m) == 0)
+                    if ((scratch_.reqOnce.plane(out)[w] & m) == 0)
                         continue;
                     const size_t key =
                         static_cast<size_t>(router) * kMeshPorts +
                         static_cast<size_t>(pi);
-                    if ((scratch_->reqWin.plane(out)[w] & m) != 0) {
+                    if ((scratch_.reqWin.plane(out)[w] & m) != 0) {
                         // Single requester, port free: grant without
                         // touching the rank logic.
                         applyPassWin(flights,
-                                     requests[scratch_->reqHead[key]].flight,
+                                     requests[scratch_.reqHead[key]].flight,
                                      router, out, next);
                         continue;
                     }
@@ -753,7 +777,7 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                     // launch phase (then every requester loses).
                     uint32_t winner = UINT32_MAX;
                     if (!claimed(router, out)) {
-                        winner = scratch_->reqHead[key];
+                        winner = scratch_.reqHead[key];
                         if (fixed_priority) {
                             const auto rank = [&](uint32_t ri) {
                                 const PassRequest &r = requests[ri];
@@ -765,8 +789,8 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                                     portIndex(
                                         flights[r.flight].inPort));
                             };
-                            for (uint32_t ri = scratch_->reqNext[winner];
-                                 ri != UINT32_MAX; ri = scratch_->reqNext[ri]) {
+                            for (uint32_t ri = scratch_.reqNext[winner];
+                                 ri != UINT32_MAX; ri = scratch_.reqNext[ri]) {
                                 if (rank(ri) < rank(winner))
                                     winner = ri;
                             }
@@ -782,15 +806,15 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                                 return (p - start + kMeshPorts) %
                                        kMeshPorts;
                             };
-                            for (uint32_t ri = scratch_->reqNext[winner];
-                                 ri != UINT32_MAX; ri = scratch_->reqNext[ri]) {
+                            for (uint32_t ri = scratch_.reqNext[winner];
+                                 ri != UINT32_MAX; ri = scratch_.reqNext[ri]) {
                                 if (rrRank(ri) < rrRank(winner))
                                     winner = ri;
                             }
                         }
                     }
-                    for (uint32_t ri = scratch_->reqHead[key];
-                         ri != UINT32_MAX; ri = scratch_->reqNext[ri]) {
+                    for (uint32_t ri = scratch_.reqHead[key];
+                         ri != UINT32_MAX; ri = scratch_.reqNext[ri]) {
                         if (ri == winner) {
                             applyPassWin(flights, requests[ri].flight,
                                          router, out, next);
@@ -815,7 +839,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
     // blocked, which is conservative when its blocker is itself
     // blocked upstream.
     const size_t n = flights.size();
-    std::vector<Itinerary> &its = scratch_->its;
+    std::vector<Itinerary> &its = scratch_.its;
     its.resize(n);
     for (size_t i = 0; i < n; ++i) {
         its[i].claims.clear();
@@ -847,7 +871,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
     }
 
     // blocked[i] = index of the first losing claim (SIZE_MAX: none).
-    std::vector<size_t> &blocked = scratch_->blocked;
+    std::vector<size_t> &blocked = scratch_.blocked;
     blocked.assign(n, SIZE_MAX);
     // Rank per claim, lower wins: straight-ness, then input port,
     // then flight index -- packed into one word so the flat winner
@@ -867,9 +891,9 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
         // Winner per (router, port) among still-active claims;
         // launches (claim index 0 at the launch router) outrank
         // everything, then straight, then turn, then input port.
-        // scratch_->bestEpoch tags which flat slots are live this round, so
+        // scratch_.bestEpoch tags which flat slots are live this round, so
         // the tables need no clearing between fixed-point rounds.
-        ++scratch_->resolveEpoch;
+        ++scratch_.resolveEpoch;
         for (size_t i = 0; i < n; ++i) {
             const auto &cl = its[i].claims;
             const size_t limit = std::min(blocked[i], cl.size());
@@ -883,11 +907,11 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
                     static_cast<size_t>(cl[k].router) * kMeshPorts +
                     portIndex(cl[k].out);
                 const uint64_t rank = packedRank(cl[k], i);
-                if (scratch_->bestEpoch[key] != scratch_->resolveEpoch ||
-                    rank < scratch_->bestRank[key]) {
-                    scratch_->bestEpoch[key] = scratch_->resolveEpoch;
-                    scratch_->bestRank[key] = rank;
-                    scratch_->bestFlight[key] = static_cast<uint32_t>(i);
+                if (scratch_.bestEpoch[key] != scratch_.resolveEpoch ||
+                    rank < scratch_.bestRank[key]) {
+                    scratch_.bestEpoch[key] = scratch_.resolveEpoch;
+                    scratch_.bestRank[key] = rank;
+                    scratch_.bestFlight[key] = static_cast<uint32_t>(i);
                 }
             }
         }
@@ -900,7 +924,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
                     portIndex(cl[k].out);
                 const bool loses =
                     claimed(cl[k].router, cl[k].out) ||
-                    scratch_->bestFlight[key] != i;
+                    scratch_.bestFlight[key] != i;
                 if (loses) {
                     blocked[i] = k;
                     changed = true;
@@ -970,7 +994,7 @@ PhastlaneNetwork::step()
     if (observer_)
         observer_->onCycleBegin(cycle_);
     deliveries_.clear();
-    scratch_->claims.clear();
+    scratch_.claims.clear();
     returnPaths_.beginCycle();
 
     resolveOutcomes();
@@ -978,13 +1002,13 @@ PhastlaneNetwork::step()
     launchPhase();
     switch (params_.wavefront) {
       case WavefrontModel::SubstepFcfs:
-        propagateSubstepFcfs(scratch_->flights);
+        propagateSubstepFcfs(scratch_.flights);
         break;
       case WavefrontModel::BitplaneFcfs:
-        propagateBitplane(scratch_->flights);
+        propagateBitplane(scratch_.flights);
         break;
       case WavefrontModel::GlobalPriority:
-        propagateGlobalPriority(scratch_->flights);
+        propagateGlobalPriority(scratch_.flights);
         break;
     }
 

@@ -13,6 +13,8 @@
  *   4. the optical wavefront propagates: packets cross up to
  *      maxHopsPerCycle routers, winning or losing port claims, being
  *      tapped, interim-accepted, buffered, delivered, or dropped.
+ * Phases 2 and 3 visit only the non-empty NICs and the routers whose
+ * launch horizon has come (DESIGN.md 3.9).
  */
 
 #ifndef PHASTLANE_CORE_NETWORK_HPP
@@ -35,8 +37,6 @@
 #include "net/network.hpp"
 
 namespace phastlane::core {
-
-class NetworkBatch;
 
 /** Phastlane-specific statistics beyond the common counters. */
 struct PhastlaneCounters {
@@ -137,10 +137,6 @@ class PhastlaneNetwork : public Network
     }
 
   private:
-    /** NetworkBatch drives the per-phase internals directly to step a
-     *  gang of instances in lockstep (DESIGN.md §13). */
-    friend class NetworkBatch;
-
     /**
      * A packet in optical transit within the current cycle. It points
      * at its holder entry's packet instead of copying it: deque
@@ -217,10 +213,6 @@ class PhastlaneNetwork : public Network
     void resolveOutcomes();
     void nicToLocalQueues();
     void launchPhase();
-    /** One router's arbitration + launch bookkeeping: the body of
-     *  launchPhase(), also called per eligible router by the batch
-     *  engine (which skips routers via the launch board). */
-    void launchRouter(NodeId r);
     void propagateSubstepFcfs(std::vector<Flight> &flights);
     void propagateBitplane(std::vector<Flight> &flights);
     void propagateGlobalPriority(std::vector<Flight> &flights);
@@ -271,13 +263,11 @@ class PhastlaneNetwork : public Network
      * Per-cycle scratch for the step() hot path: the claim planes,
      * flight list, sub-step work lists, and the flat (router, port)
      * claim-resolution / request-chain tables of the bit-plane engine
-     * (DESIGN.md §11). Everything here is dead between cycles — it is
-     * either cleared at cycle start or guarded by an epoch tag — so a
-     * NetworkBatch gang of same-shape instances shares ONE StepScratch
-     * and each instance-step reuses hot cache lines instead of
-     * cold-touching its own copy. Epoch tags stay monotone across the
-     * gang (instances step serially and only test tags for equality
-     * against the current epoch), so sharing needs no resets.
+     * (DESIGN.md §11). Everything here is dead between cycles: it is
+     * either cleared at cycle start or guarded by an epoch tag. It is
+     * cleared, never shrunk, so it allocates nothing in steady state;
+     * the router buffers' deques still allocate blocks as they grow
+     * (DESIGN.md §6).
      */
     struct StepScratch {
         explicit StepScratch(int node_count);
@@ -318,6 +308,10 @@ class PhastlaneNetwork : public Network
     Cycle cycle_ = 0;
 
     std::vector<OpticalNic> nics_;
+    /** One bit per node whose NIC holds packets: inject() sets it and
+     *  the NIC transfer clears it once the NIC drains, so that phase
+     *  walks only the non-empty NICs. */
+    std::vector<uint64_t> nicOccupied_;
     std::vector<RouterBuffers> routers_;
     std::vector<uint8_t> failedRouters_; ///< drawn once at construction
     ReturnPathRegistry returnPaths_;
@@ -332,22 +326,11 @@ class PhastlaneNetwork : public Network
     std::vector<LaunchOutcome> pendingDrops_;
     std::vector<Delivery> deliveries_;
 
-    // Per-cycle scratch (see StepScratch). scratch_ points at
-    // ownScratch_ outside a batch; a NetworkBatch re-targets it to the
-    // gang-shared scratch while attached. All scratch state is
-    // cleared, never shrunk, so it allocates nothing in steady state;
-    // the router buffers' deques still allocate blocks as they grow
-    // (DESIGN.md §6).
-    StepScratch ownScratch_;
-    StepScratch *scratch_ = &ownScratch_;
+    StepScratch scratch_;
 
     NetworkCounters counters_;
     PhastlaneCounters pl_;
     OpticalEvents events_;
-    /** Instance slot in a NetworkBatch NIC-occupancy bit plane, or
-     *  nullptr outside a batch; inject() sets the source node's bit
-     *  so the batch engine can skip empty NICs word-at-a-time. */
-    uint64_t *batchNicOcc_ = nullptr;
     StepObserver *observer_ = nullptr;
     uint64_t outstanding_ = 0;
     uint64_t nextBranchId_ = 1;

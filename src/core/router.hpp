@@ -148,12 +148,19 @@ class alignas(64) RouterBuffers
      * Selected entries are flipped to Launched. Returns references to
      * the selected entries paired with their output port.
      *
+     * Under rotating priority queue now mod 5 (kAllPortList order)
+     * leads, so the order does not depend on which earlier cycles
+     * called arbitrate().
+     *
      * Precondition: calls come at strictly increasing @p now, and at
-     * every cycle at which the router holds an eligible Waiting entry.
-     * step() calls it for every router every cycle; the batch engine
-     * skips a router only while its launch board lies in the future,
-     * when nothing there is eligible. The starvation streaks are
-     * counted in closed form from this (see maxConsecutiveLosses()).
+     * every cycle at or after horizon(). step() skips a router while
+     * its horizon lies in the future: such a call would launch
+     * nothing, and the priority order depends on the cycle alone, so
+     * the skip changes no result. The starvation streaks are counted
+     * in closed form from this (see maxConsecutiveLosses()); a
+     * skipped router's last-arbitration cycle goes stale, which the
+     * getters do not see, because every Waiting entry there becomes
+     * eligible after the skipped cycles.
      */
     template <typename DesiredPortFn>
     std::vector<std::pair<BufferEntry *, Port>>
@@ -161,9 +168,8 @@ class alignas(64) RouterBuffers
 
     /**
      * Allocation-free arbitrate: results land in
-     * @p scratch.launches (cleared first). Empty routers return
-     * immediately after advancing the rotating pointer, so a
-     * mostly-idle mesh pays O(1) per router.
+     * @p scratch.launches (cleared first). A call before horizon()
+     * returns at once.
      *
      * Under rotating priority the cost follows launches, not buffered
      * entries: per-(queue, port) counts of Waiting entries say which
@@ -177,6 +183,17 @@ class alignas(64) RouterBuffers
 
     /** True when no queue holds any entry (O(1)). */
     bool empty() const { return total_ == 0; }
+
+    /**
+     * The launch horizon: a lower bound on the first cycle at which
+     * arbitrate() can launch anything here, kNeverCycle while no
+     * entry waits (in particular while the router is empty). Pushes
+     * and restored drops lower it; each arbitration recomputes it.
+     * After an arbitration that stopped scanning early it may be any
+     * cycle up to now + 1: the next cycle then arbitrates, at worst
+     * with nothing to launch.
+     */
+    Cycle horizon() const { return nextEligible_; }
 
     /**
      * Longest losing streak seen on any queue (starvation indicator;
@@ -193,10 +210,6 @@ class alignas(64) RouterBuffers
     /** Largest streak on the local queue only — i.e. for packets
      *  originated by this router's node (the per-source view). */
     uint64_t maxConsecutiveLossesLocal() const;
-
-    /** The queue that holds priority in the next rotating
-     *  arbitration (index into kAllPortList). */
-    int rotation() const { return rotate_; }
 
   private:
     /** DAMQ shared-pool slot accounting (the uncommon configuration;
@@ -229,59 +242,22 @@ class alignas(64) RouterBuffers
     /** Find the Launched entry for @p id within queue @p q only. */
     BufferEntry *findLaunchedIn(Port q, PacketId id);
 
-    /**
-     * Bind (or, with nullptr, unbind) this router's slot in a batch
-     * launch board (DESIGN.md §13). The slot mirrors the launch
-     * horizon: a lower bound on the earliest cycle arbitrate() could
-     * do work here, kNeverCycle while the router is empty. A batch
-     * engine may skip the arbitrate() call while the board value is
-     * in the future, provided it replays the skipped rotating-pointer
-     * advances with syncRotate() first. After an arbitration that
-     * stopped scanning early the value may be any cycle up to now + 1:
-     * the next cycle then arbitrates, at worst with nothing to launch.
-     */
-    void bindBoard(Cycle *slot)
-    {
-        board_ = slot;
-        if (board_ != nullptr)
-            *board_ = total_ == 0 ? kNeverCycle : nextEligible_;
-    }
-
-    /**
-     * Reconstruct the rotating pointer as if arbitrate() had run once
-     * per cycle since cycle 0 — which is exactly what the serial
-     * engine does, advancing rotate_ by one per call from 0. Called by
-     * the batch engine before a real arbitrate() to make board-driven
-     * skips invisible to the priority rotation.
-     */
-    void syncRotate(Cycle now)
-    {
-        if (policy_ != BufferArbitration::OldestFirst)
-            rotate_ = static_cast<int>(now % kAllPorts);
-    }
-
   private:
-    // Everything an arbitrate() call that skips the router touches
-    // sits up to board_, ahead of the queues: with the class aligned
-    // to a cache line, a mostly idle mesh pays one line per router.
+    // The horizon step() reads for every router every cycle sits in
+    // the first cache line, ahead of the queues: with the class
+    // aligned to a line, a mostly idle mesh pays one line per router.
     NodeId self_;
     int capacity_; // <= 0: infinite
     int launchesPerQueue_;
     bool sharedPool_;
     BufferArbitration policy_;
-    int rotate_ = 0;
     size_t total_ = 0;
-    /** Lower bound on the earliest eligibleAt among Waiting entries;
-     *  kNeverCycle when every entry is Launched (or none exist). Lets
-     *  arbitrate() skip the queue scan while all buffered packets sit
-     *  in backoff or in flight. */
-    Cycle nextEligible_ = 0;
+    /** The launch horizon (see horizon()): a lower bound on the
+     *  earliest eligibleAt among Waiting entries; kNeverCycle when
+     *  every entry is Launched (or none exist). */
+    Cycle nextEligible_ = kNeverCycle;
     /** One past the cycle of the last arbitrate() call. */
     Cycle arbCycle_ = 0;
-    /** Slot in a NetworkBatch launch board, or nullptr outside a
-     *  batch. Mirrors the launch horizon so the batch engine can skip
-     *  whole routers without touching their queues. */
-    Cycle *board_ = nullptr;
     /** Queues holding unclassified entries, one bit per queue. */
     unsigned unclassified_ = 0;
     uint64_t nextSeq_ = 0;
@@ -319,8 +295,6 @@ class alignas(64) RouterBuffers
     void noteEligible(Cycle c)
     {
         nextEligible_ = std::min(nextEligible_, c);
-        if (board_ != nullptr && c < *board_)
-            *board_ = c;
     }
 
     /** A Launched or new entry turns Waiting at @p eligible_at. An
@@ -402,19 +376,10 @@ RouterBuffers::arbitrate(Cycle now, DesiredPortFn &&desired_port,
 {
     auto &launches = scratch.launches;
     launches.clear();
-    // Advance the rotating pointer even when skipping an empty router
-    // (or one whose entries are all Launched or still in backoff): its
-    // future priority order must not depend on whether earlier cycles
-    // had launchable traffic.
-    if (total_ == 0 || now < nextEligible_) {
-        if (policy_ != BufferArbitration::OldestFirst)
-            rotate_ = (rotate_ + 1) % kAllPorts;
+    // Nothing waits or everything still sits in backoff (an empty
+    // router's horizon is kNeverCycle).
+    if (now < nextEligible_) {
         arbCycle_ = now + 1;
-        // Refresh a stale-low board slot so a wasted batch visit
-        // (e.g. after releaseLaunched() emptied the router) self-heals
-        // instead of recurring every cycle.
-        if (board_ != nullptr)
-            *board_ = total_ == 0 ? kNeverCycle : nextEligible_;
         return;
     }
     classifyArrivals(desired_port);
@@ -466,17 +431,19 @@ RouterBuffers::arbitrate(Cycle now, DesiredPortFn &&desired_port,
             }
         }
     } else {
-        // Rotating pointer over the five queues; within a queue,
-        // oldest-first; at most launchesPerQueue_ per queue. Only
-        // queues with Waiting entries are visited, in priority order:
-        // bit k of the rotated mask is queue rotate_ + k.
+        // Rotating priority over the five queues, led by queue
+        // now mod 5; within a queue, oldest-first; at most
+        // launchesPerQueue_ per queue. Only queues with Waiting
+        // entries are visited, in priority order: bit k of the
+        // rotated mask is queue rotate + k.
+        const int rotate = static_cast<int>(now % kAllPorts);
         const unsigned all = (1u << kAllPorts) - 1;
-        unsigned order = ((waitingQueues_ >> rotate_) |
-                          (waitingQueues_ << (kAllPorts - rotate_))) &
+        unsigned order = ((waitingQueues_ >> rotate) |
+                          (waitingQueues_ << (kAllPorts - rotate))) &
                          all;
         unsigned free_ports = (1u << kMeshPorts) - 1;
         for (; order != 0 && free_ports != 0; order &= order - 1) {
-            const int k = rotate_ + __builtin_ctz(order);
+            const int k = rotate + __builtin_ctz(order);
             scanQueue(k < kAllPorts ? k : k - kAllPorts, now,
                       free_ports, launches, next_eligible);
         }
@@ -484,12 +451,9 @@ RouterBuffers::arbitrate(Cycle now, DesiredPortFn &&desired_port,
         // router hot for the next cycle, as an early stop does.
         if (order != 0)
             next_eligible = std::min(next_eligible, now + 1);
-        rotate_ = (rotate_ + 1) % kAllPorts;
     }
     arbCycle_ = now + 1;
     nextEligible_ = next_eligible;
-    if (board_ != nullptr)
-        *board_ = total_ == 0 ? kNeverCycle : next_eligible;
 }
 
 template <typename DesiredPortFn>

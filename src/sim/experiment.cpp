@@ -7,45 +7,8 @@
 #include "common/parallel.hpp"
 #include "core/network.hpp"
 #include "obs/observe.hpp"
-#include "sim/multisim.hpp"
 
 namespace phastlane::sim {
-
-namespace {
-
-/** One grid cell under batched execution: its own network and
- *  step-wise CoherenceDriver (DESIGN.md §13). */
-class CoherenceJob final : public MultiSim::Job
-{
-  public:
-    CoherenceJob(std::unique_ptr<Network> net,
-                 const std::vector<std::vector<traffic::Txn>> &streams,
-                 int mshr_limit)
-        : net_(std::move(net)), driver_(*net_, streams, mshr_limit)
-    {
-        driver_.begin();
-    }
-
-    core::PhastlaneNetwork &network() override
-    {
-        return static_cast<core::PhastlaneNetwork &>(*net_);
-    }
-    bool done() override { return driver_.done(); }
-    void preStep() override { driver_.preStep(); }
-    void postStep() override { driver_.postStep(); }
-
-    traffic::CoherenceResult finishResult()
-    {
-        return driver_.finish();
-    }
-    Network &rawNetwork() { return *net_; }
-
-  private:
-    std::unique_ptr<Network> net_;
-    traffic::CoherenceDriver driver_;
-};
-
-} // namespace
 
 std::vector<BenchmarkRun>
 runExperiment(const ExperimentSpec &spec)
@@ -99,46 +62,6 @@ runExperiment(const ExperimentSpec &spec)
         if (pl)
             run.drops = pl->phastlaneCounters().drops;
     };
-
-    // Serial grid: gang the batch-eligible cells' networks through
-    // the lockstep backend; the rest (electrical configs, metrics
-    // collection) run per-instance, exactly as before. Cells are
-    // independent, so execution order is unobservable and the output
-    // stays bit-identical to the plain serial grid.
-    if (resolveThreadCount(spec.threads) <= 1 && spec.batch != 1 &&
-        nb * nc > 1) {
-        MultiSim ms(spec.batch);
-        std::vector<std::unique_ptr<CoherenceJob>> jobs(nb * nc);
-        for (size_t i = 0; i < nb * nc; ++i) {
-            const size_t b = i / nc;
-            const size_t c = i % nc;
-            auto net = makeConfig(spec.configs[c]).make(spec.seed);
-            if (spec.collectMetrics || !batchable(*net)) {
-                runCell(i);
-                continue;
-            }
-            runs[i].benchmark = profiles[b].name;
-            runs[i].config = spec.configs[c];
-            jobs[i] = std::make_unique<CoherenceJob>(
-                std::move(net), streams[b], profiles[b].mshrLimit);
-            ms.add(*jobs[i]);
-        }
-        ms.runAll();
-        for (size_t i = 0; i < nb * nc; ++i) {
-            if (!jobs[i])
-                continue;
-            const size_t c = i % nc;
-            BenchmarkRun &run = runs[i];
-            run.result = jobs[i]->finishResult();
-            run.power = makeConfig(spec.configs[c])
-                            .power(jobs[i]->rawNetwork(),
-                                   run.result.completionCycles
-                                       ? run.result.completionCycles
-                                       : 1);
-            run.drops = jobs[i]->network().phastlaneCounters().drops;
-        }
-        return runs;
-    }
 
     parallelFor(nb * nc, runCell, spec.threads);
     return runs;

@@ -61,14 +61,6 @@ struct ExperimentSpec {
     /** Collect per-cell obs metrics (each grid cell records into its
      *  own registry; merge with mergedMetrics() for run totals). */
     bool collectMetrics = false;
-
-    /** Batched lockstep backend (DESIGN.md §13): gang size for
-     *  stepping the grid's batch-eligible cells through one
-     *  NetworkBatch when the grid runs serially (resolved threads ==
-     *  1). Ineligible cells (electrical configs, metrics collection)
-     *  fall back per-instance. 0 = auto, 1 = disable, > 1 = explicit
-     *  gang size. Results are bit-identical to the serial path. */
-    int batch = 0;
 };
 
 /**

@@ -53,13 +53,6 @@ struct FaultSweepConfig {
      *  concurrency), 1 = serial. Bit-identical at any count. */
     int threads = 0;
 
-    /** Batched lockstep backend (DESIGN.md §13): gang size for
-     *  stepping the points' networks through one NetworkBatch when
-     *  the sweep runs serially (resolved threads == 1) and the params
-     *  are batch-eligible. 0 = auto, 1 = disable, > 1 = explicit
-     *  gang size. Results are bit-identical to the serial path. */
-    int batch = 0;
-
     /** Wrap the network in a core::ReliableNic. The default schedule
      *  (128-cycle base timeout, 6 retries, shift cap 5) bounds a
      *  message's worst-case residence to ~12k cycles, inside the

@@ -8,7 +8,6 @@
 #include "common/parallel.hpp"
 #include "core/network.hpp"
 #include "obs/observe.hpp"
-#include "sim/multisim.hpp"
 
 namespace phastlane::sim {
 
@@ -154,97 +153,6 @@ runPoint(const NetConfig &config, const SweepConfig &sweep,
     return pt;
 }
 
-/** One sweep point under batched execution: its own network and
- *  step-wise SyntheticDriver (DESIGN.md §13). */
-class SweepJob final : public MultiSim::Job
-{
-  public:
-    SweepJob(const NetConfig &config, const SweepConfig &sweep,
-             double rate)
-        : net_(config.make(sweep.seed)), rate_(rate)
-    {
-        traffic::SyntheticConfig cfg;
-        cfg.pattern = sweep.pattern;
-        cfg.patternOpts = sweep.patternOpts;
-        cfg.adversarial = sweep.adversarial;
-        cfg.injectionRate = rate;
-        cfg.warmupCycles = sweep.warmupCycles;
-        cfg.measureCycles = sweep.measureCycles;
-        cfg.seed = sweep.seed;
-        driver_.emplace(*net_, cfg);
-        driver_->begin();
-    }
-
-    bool batchEligible() const { return batchable(*net_); }
-
-    core::PhastlaneNetwork &network() override
-    {
-        return static_cast<core::PhastlaneNetwork &>(*net_);
-    }
-    bool done() override { return driver_->done(); }
-    void preStep() override { driver_->preStep(); }
-    void postStep() override { driver_->postStep(); }
-
-    SweepPoint finishPoint()
-    {
-        SweepPoint pt;
-        pt.injectionRate = rate_;
-        pt.result = driver_->finish();
-        return pt;
-    }
-
-  private:
-    std::unique_ptr<Network> net_;
-    std::optional<traffic::SyntheticDriver> driver_;
-    double rate_;
-};
-
-/** Batched serial sweep: gangs of SweepJobs in rate order. Returns
- *  nullopt when the configuration cannot batch (metrics collection
- *  wants an observer; GlobalPriority / non-Phastlane nets take the
- *  per-instance path). */
-std::optional<std::vector<SweepPoint>>
-runSweepBatched(const NetConfig &config, const SweepConfig &sweep)
-{
-    if (sweep.collectMetrics)
-        return std::nullopt;
-    const size_t n = sweep.rates.size();
-    const int limit = sweep.batch <= 0 ? MultiSim::kDefaultBatch
-                                       : sweep.batch;
-    std::vector<SweepPoint> points;
-    size_t done = 0;
-    while (done < n) {
-        const size_t gang =
-            std::min(n - done, static_cast<size_t>(limit));
-        std::vector<std::unique_ptr<SweepJob>> jobs;
-        jobs.reserve(gang);
-        MultiSim ms(limit);
-        for (size_t i = 0; i < gang; ++i) {
-            jobs.push_back(std::make_unique<SweepJob>(
-                config, sweep, sweep.rates[done + i]));
-            if (!jobs.back()->batchEligible()) {
-                // Probe found an ineligible configuration: the whole
-                // sweep shares it, so fall back entirely.
-                return std::nullopt;
-            }
-            ms.add(*jobs.back());
-        }
-        ms.runAll();
-        for (auto &job : jobs) {
-            points.push_back(job->finishPoint());
-            // Same truncation as the serial loop: points after the
-            // first saturated one are dropped (later gangs are never
-            // built at all).
-            if (sweep.stopAtSaturation &&
-                points.back().result.saturated) {
-                return points;
-            }
-        }
-        done += gang;
-    }
-    return points;
-}
-
 } // namespace
 
 std::vector<SweepPoint>
@@ -254,13 +162,6 @@ runSweep(const NetConfig &config, const SweepConfig &sweep)
     const int threads = resolveThreadCount(sweep.threads);
 
     if (threads <= 1 || n <= 1) {
-        // Serial execution: gang the points' networks through the
-        // batched lockstep backend when the configuration allows it
-        // (bit-identical results; see DESIGN.md §13).
-        if (sweep.batch != 1 && n > 1) {
-            if (auto batched = runSweepBatched(config, sweep))
-                return *batched;
-        }
         std::vector<SweepPoint> points;
         for (double rate : sweep.rates) {
             points.push_back(runPoint(config, sweep, rate));

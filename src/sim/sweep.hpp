@@ -54,13 +54,8 @@ struct SweepConfig {
      *  registry; merge with mergedMetrics() for run totals). */
     bool collectMetrics = false;
 
-    /** Batched lockstep backend (DESIGN.md §13): gang size for
-     *  stepping many points' networks through one NetworkBatch when
-     *  the sweep runs serially (resolved threads == 1) and the
-     *  configuration is batch-eligible (no observers, FCFS wavefront).
-     *  0 = auto (MultiSim::kDefaultBatch), 1 = disable,
-     *  > 1 = explicit gang size. Results are bit-identical to the
-     *  serial path. */
+    /** Ignored: every point steps through plain step(). Kept so
+     *  callers that still set it compile. */
     int batch = 0;
 };
 

@@ -70,7 +70,8 @@ class CoherenceDriver
     CoherenceResult run(Cycle max_cycles = 20000000);
 
     // Step-wise interface, equivalent to run() but with the
-    // net_.step() call in the caller's hands (MultiSim):
+    // net_.step() call in the caller's hands (a MultiSim job, or a
+    // harness that inspects every cycle):
     //   begin(max_cycles);
     //   while (!done()) { preStep(); net.step(); postStep(); }
     //   result = finish();
